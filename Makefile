@@ -8,7 +8,7 @@ SMOKE_SPEC := len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) = 3 && md(G[0]) = 3
 
 # Bench regression gate: the current PR's baseline file, the (fast,
 # deterministic) experiment subset it runs, and the tolerated drift.
-BENCH_OUT := BENCH_pr6.json
+BENCH_OUT := BENCH_pr12.json
 BENCH_GATE_EXPERIMENTS := ablation-card ablation-cex multibit sat
 BENCH_GATE_THRESHOLD := 25
 # ns_per_prop is wall-clock-derived (unlike the exact iteration/conflict
@@ -16,14 +16,6 @@ BENCH_GATE_THRESHOLD := 25
 # trend gate for it uses a looser threshold that still catches a real
 # solver regression (undoing the core rewrite would show +135%).
 BENCH_GATE_NSPROP_THRESHOLD := 50
-# One-PR waiver for the pr4 -> pr6 diff only: the CDCL core rewrite
-# changed propagation order (binary implications now fire before watcher
-# scans), which legitimately shifts the search trajectory on tiny
-# instances; ablation-card/adder moved 32 -> 42 conflicts while every
-# other deterministic counter stayed inside the threshold and corpus
-# propagation throughput improved >2x.  Clear this when cutting the next
-# baseline so the metric is gated again.
-BENCH_GATE_WAIVED := ablation-card/adder/conflicts
 
 LEDGER_SMOKE_DIR := /tmp/fecsynth-ledger-smoke
 
@@ -177,7 +169,6 @@ bench-gate: build
 	  echo "bench-gate: diffing $$prev -> $(BENCH_OUT)"; \
 	  dune exec -- fecsynth trace diff --threshold $(BENCH_GATE_THRESHOLD) \
 	    --ignore wall_s \
-	    $(foreach w,$(BENCH_GATE_WAIVED),--ignore $(w)) \
 	    "$$prev" $(BENCH_OUT) || exit 1; \
 	else \
 	  echo "bench-gate: no prior BENCH_*.json; $(BENCH_OUT) is the new baseline"; \

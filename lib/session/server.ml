@@ -1,11 +1,13 @@
-(* The serve event loop.  One thread owns all socket I/O: a select with a
-   short tick multiplexes the listener and every client, and [await]
-   waiters are answered from the tick by polling the manager — the loop
+(* The serve event loop.  One thread owns all socket I/O: a select
+   multiplexes the listener, every client and the read end of a
+   self-pipe.  Synthesis runs on the manager's worker domains, and the
+   manager writes a byte to the pipe whenever a session settles, so an
+   [await] waiter is answered as soon as its session settles.  The loop
    never blocks on a session, and never blocks on a peer either: reads
    are non-blocking, responses go through bounded per-connection output
-   buffers flushed when select reports the socket writable.  Synthesis
-   itself runs on the manager's worker domains; the tick also drives
-   {!Session.Manager.tend} for deadline enforcement. *)
+   buffers flushed when select reports the socket writable.  A short
+   tick remains only for the periodic chores: deadline enforcement
+   ({!Session.Manager.tend}), idle reaping and the runtime lens. *)
 
 module J = Telemetry.Json
 
@@ -52,6 +54,7 @@ let default_config ~socket =
     runtime_lens = true;
   }
 
+(* period of the housekeeping chores; answers never wait for it *)
 let tick = 0.05
 
 type proto = Jsonl | Http
@@ -75,9 +78,7 @@ type state = {
          /healthz can report the drain in progress *)
   mutable clients : client list;
   mutable waiters : (Unix.file_descr * Session.Manager.id) list;
-  mutable submitted : Session.Manager.id list;
-  rids : (Session.Manager.id, string) Hashtbl.t;
-      (* session id -> wire request id, for status/await responses *)
+  wake : Unix.file_descr;  (* self-pipe read end: readable after a settle *)
   mutable rid_seq : int;
   mutable draining : bool;
 }
@@ -146,13 +147,14 @@ let settled = function
       true
   | Session.Manager.Queued | Session.Manager.Running -> false
 
-let status_response st id status =
-  Wire.ok
-    (("id", J.Int id)
-    :: (match Hashtbl.find_opt st.rids id with
-       | Some rid -> [ ("request", J.Str rid) ]
-       | None -> [])
-    @ [ ("session", Wire.status_to_json status) ])
+(* the reply to status/await, from one {!Session.Manager.status} read *)
+let status_response id = function
+  | None -> Wire.error ~kind:"unknown_id" "unknown id"
+  | Some (status, rid) ->
+      Wire.ok
+        (("id", J.Int id)
+        :: (match rid with Some r -> [ ("request", J.Str r) ] | None -> [])
+        @ [ ("session", Wire.status_to_json status) ])
 
 let worker_json (w : Session.Manager.worker_info) =
   J.Obj
@@ -218,7 +220,7 @@ let update_worker_metrics st =
 let stats_fields st =
   [
     ("queue_depth", J.Int (Session.Manager.queue_depth st.manager));
-    ("sessions", J.Int (List.length st.submitted));
+    ("sessions", J.Int (Session.Manager.admitted st.manager));
     ("reaped", J.Int (Session.Manager.reaped st.manager));
     ("draining", J.Bool st.draining);
     ( "workers",
@@ -258,8 +260,6 @@ let handle_command st c = function
         | Error `Backpressure ->
             send st c (Wire.error ~kind:"backpressure" "queue full")
         | Ok id ->
-            st.submitted <- id :: st.submitted;
-            Hashtbl.replace st.rids id rid;
             Telemetry.Metrics.incr m_admitted 1;
             (* the admission point anchors the request's queue-wait
                interval in the daemon trace *)
@@ -275,19 +275,16 @@ let handle_command st c = function
             else
               send st c
                 (Wire.ok [ ("id", J.Int id); ("request", J.Str rid) ]))
-  | Wire.Status id -> (
-      match Session.Manager.status st.manager id with
-      | None -> send st c (Wire.error ~kind:"unknown_id" "unknown id")
-      | Some status -> send st c (status_response st id status))
+  | Wire.Status id ->
+      send st c (status_response id (Session.Manager.status st.manager id))
   | Wire.Cancel id ->
       send st c
         (Wire.ok [ ("cancelled", J.Bool (Session.Manager.cancel st.manager id)) ])
   | Wire.Await id -> (
       match Session.Manager.status st.manager id with
-      | None -> send st c (Wire.error ~kind:"unknown_id" "unknown id")
-      | Some status ->
-          if settled status then send st c (status_response st id status)
-          else st.waiters <- (c.fd, id) :: st.waiters)
+      | Some (status, _) when not (settled status) ->
+          st.waiters <- (c.fd, id) :: st.waiters
+      | found -> send st c (status_response id found))
 
 let handle_line st c line =
   if String.trim line <> "" then
@@ -411,25 +408,36 @@ let read_client st c =
       end
       else process_buffer st c
 
+(* Each waiter's status is read once; the waiter list is settled before
+   any send, since a send that overflows drops its client's waiters. *)
 let answer_waiters st =
   let ready, waiting =
-    List.partition
-      (fun (_, id) ->
+    List.partition_map
+      (fun (fd, id) ->
         match Session.Manager.status st.manager id with
-        | Some status -> settled status
-        | None -> true)
+        | Some (status, _) when not (settled status) -> Either.Right (fd, id)
+        | found -> Either.Left (fd, id, found))
       st.waiters
   in
   st.waiters <- waiting;
   List.iter
-    (fun (fd, id) ->
+    (fun (fd, id, found) ->
       match List.find_opt (fun c -> c.fd == fd) st.clients with
       | None -> ()
-      | Some c -> (
-          match Session.Manager.status st.manager id with
-          | None -> send st c (Wire.error ~kind:"unknown_id" "unknown id")
-          | Some status -> send st c (status_response st id status)))
+      | Some c -> send st c (status_response id found))
     ready
+
+(* One readable wakeup covers every settle since the last, because
+   [answer_waiters] rescans all waiters: empty the pipe and move on. *)
+let drain_wake st =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read st.wake b 0 64 with
+    | 64 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
 
 (* Idle and half-open connections are reaped so abandoned peers cannot
    accumulate; a client with a registered waiter is legitimately silent
@@ -446,14 +454,6 @@ let reap_idle st =
     in
     List.iter (drop_client st) stale
   end
-
-let busy st =
-  List.exists
-    (fun id ->
-      match Session.Manager.status st.manager id with
-      | Some status -> not (settled status)
-      | None -> false)
-    st.submitted
 
 let accept_clients st ~proto lfd =
   match Unix.accept lfd with
@@ -497,11 +497,13 @@ let loop st =
       Sys.set_signal Sys.sigterm prev_term;
       Sys.set_signal Sys.sigint prev_int)
     (fun () ->
+      let chores_due = ref 0.0 in
       let rec go () =
         if Atomic.get stop then st.draining <- true;
         if st.draining then stop_accepting st;
         let rfds =
-          (match st.listen_fd with Some fd -> [ fd ] | None -> [])
+          st.wake
+          :: (match st.listen_fd with Some fd -> [ fd ] | None -> [])
           @ (match st.http_fd with Some fd -> [ fd ] | None -> [])
           @ List.map (fun c -> c.fd) st.clients
         in
@@ -511,23 +513,32 @@ let loop st =
             st.clients
         in
         let readable, writable =
-          match Unix.select rfds wfds [] tick with
+          match
+            Unix.select rfds wfds []
+              (Float.max 0.0 (!chores_due -. Unix.gettimeofday ()))
+          with
           | r, w, _ -> (r, w)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
         in
         List.iter
           (fun fd ->
-            if Some fd = st.listen_fd then accept_clients st ~proto:Jsonl fd
+            if fd = st.wake then drain_wake st
+            else if Some fd = st.listen_fd then accept_clients st ~proto:Jsonl fd
             else if Some fd = st.http_fd then accept_clients st ~proto:Http fd
             else
               match List.find_opt (fun c -> c.fd == fd) st.clients with
               | Some c -> read_client st c
               | None -> ())
           readable;
-        Session.Manager.tend st.manager;
-        (* throttled runtime-lens poll: keeps GC/domain telemetry flowing
-           even when no request traffic is driving the tee *)
-        Telemetry.Runtime.tick ();
+        let now = Unix.gettimeofday () in
+        let chores = now >= !chores_due in
+        if chores then begin
+          chores_due := now +. tick;
+          Session.Manager.tend st.manager;
+          (* throttled runtime-lens poll: keeps GC/domain telemetry
+             flowing even when no request traffic is driving the tee *)
+          Telemetry.Runtime.tick ()
+        end;
         answer_waiters st;
         List.iter
           (fun fd ->
@@ -540,10 +551,10 @@ let loop st =
         List.iter
           (fun c -> if Buffer.length c.out > 0 then flush_client st c)
           st.clients;
-        reap_idle st;
+        if chores then reap_idle st;
         if
           st.draining
-          && (not (busy st))
+          && (not (Session.Manager.busy st.manager))
           && st.waiters = []
           && List.for_all (fun c -> Buffer.length c.out = 0) st.clients
         then ()
@@ -668,9 +679,16 @@ let run config =
      domain_util series on /metrics, runtime.* points in the trace and
      the flight ring, request-correlated via worker ring beacons *)
   if config.runtime_lens then Telemetry.Runtime.start ();
+  let wake, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake;
+  Unix.set_nonblock wake_w;
   let manager =
     Session.Manager.create ~workers:config.workers ~max_queue:config.max_queue
       ~grace:config.grace
+      ~on_settle:(fun () ->
+        (* a full pipe already holds a pending wakeup *)
+        try ignore (Unix.single_write_substring wake_w "!" 0 1)
+        with Unix.Unix_error _ -> ())
       ~on_reap:(fun ~worker ~request_id ->
         let fields =
           ("worker", Telemetry.str (string_of_int worker))
@@ -715,8 +733,7 @@ let run config =
       http_fd = http_lfd;
       clients = [];
       waiters = [];
-      submitted = [];
-      rids = Hashtbl.create 16;
+      wake;
       rid_seq = 0;
       draining = false;
     }
@@ -735,6 +752,9 @@ let run config =
           st.clients;
         st.clients <- [];
         Session.Manager.drain manager;
+        List.iter
+          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+          [ wake; wake_w ];
         (* final lens drain runs while the daemon tee is still installed,
            then the lens is released with the listener *)
         Telemetry.Runtime.poll ~force:true ();

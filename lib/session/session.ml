@@ -697,9 +697,13 @@ let run_sync ?on_report ?cancel request =
     (Telemetry.Runtime.start ();
      Telemetry.Runtime.active ())
   in
+  (* every run hash-conses into a table of its own, dropped when the run
+     returns: a long-lived caller's heap stays flat, and each run builds
+     the same uid order from scratch *)
   Fun.protect
     ~finally:(fun () -> if owned_lens then Telemetry.Runtime.stop ())
     (fun () ->
+      Smtlite.Expr.with_scope (Smtlite.Expr.new_scope ()) @@ fun () ->
       match request.job with
       | Synth { prop; weights; portfolio; jobs } ->
           run_synth ?on_report ~intr ~t0 request ~prop_spec:prop ~weights
@@ -749,9 +753,11 @@ module Manager = struct
   type t = {
     lock : Mutex.t;
     work : Condition.t;  (* queue gained an item, or stopping *)
-    settled : Condition.t;  (* some session reached a final status *)
     queue : id Queue.t;
     sessions : (id, jobrec) Hashtbl.t;
+        (* every unsettled session, plus the last [retained] settled *)
+    settled_ids : id Queue.t;  (* settled sessions still kept, oldest first *)
+    mutable unsettled : int;  (* sessions queued or running *)
     mutable next : id;
     mutable stopping : bool;
     max_queue : int;
@@ -765,7 +771,10 @@ module Manager = struct
     on_reap : (worker:int -> request_id:string option -> unit) option;
         (* fired outside [lock] after a worker is condemned — the serve
            daemon dumps the flight recorder here *)
+    on_settle : unit -> unit;  (* fired under [lock] on every settle *)
   }
+
+  let retained = 256
 
   let g_depth = Telemetry.Metrics.gauge "serve.queue_depth"
   let m_reaped = Telemetry.Metrics.counter "serve.worker_reaped"
@@ -805,6 +814,18 @@ module Manager = struct
   let deadline_passed jr now =
     match jr.jr_deadline with None -> false | Some dl -> now >= dl
 
+  (* The one way a session reaches a final status (must be called with
+     [t.lock] held): it joins the retention window, which forgets the
+     oldest settled session once full, and the settle hook fires. *)
+  let settle t jr status =
+    jr.jr_status <- status;
+    jr.jr_worker <- -1;
+    t.unsettled <- t.unsettled - 1;
+    Queue.push jr.jr_id t.settled_ids;
+    if Queue.length t.settled_ids > retained then
+      Hashtbl.remove t.sessions (Queue.pop t.settled_ids);
+    t.on_settle ()
+
   let worker_loop t w =
     let rec next_job () =
       Mutex.lock t.lock;
@@ -830,8 +851,7 @@ module Manager = struct
             if deadline_passed jr (Unix.gettimeofday ()) then begin
               (* expired while waiting in the queue: answer timeout
                  without burning a worker on it *)
-              jr.jr_status <- Timed_out;
-              Condition.broadcast t.settled;
+              settle t jr Timed_out;
               Mutex.unlock t.lock;
               next_job ()
             end
@@ -898,10 +918,7 @@ module Manager = struct
           in
           locked t (fun () ->
               (match jr.jr_status with
-              | Running ->
-                  jr.jr_status <- status;
-                  jr.jr_worker <- -1;
-                  Condition.broadcast t.settled
+              | Running -> settle t jr status
               | _ ->
                   (* reaped meanwhile; the Timed_out verdict stands and
                      this condemned worker exits below *)
@@ -936,7 +953,8 @@ module Manager = struct
     in
     t.domains <- (w, d) :: t.domains
 
-  let create ~workers ~max_queue ?(grace = 1.0) ?policy ?on_reap () =
+  let create ~workers ~max_queue ?(grace = 1.0) ?policy ?on_reap
+      ?(on_settle = ignore) () =
     let policy =
       match policy with
       | Some p -> p
@@ -946,9 +964,10 @@ module Manager = struct
       {
         lock = Mutex.create ();
         work = Condition.create ();
-        settled = Condition.create ();
         queue = Queue.create ();
         sessions = Hashtbl.create 16;
+        settled_ids = Queue.create ();
+        unsettled = 0;
         next = 1;
         stopping = false;
         max_queue;
@@ -960,6 +979,7 @@ module Manager = struct
         next_worker = 0;
         reap_count = 0;
         on_reap;
+        on_settle;
       }
     in
     locked t (fun () ->
@@ -986,6 +1006,7 @@ module Manager = struct
               jr_status = Queued;
               jr_worker = -1;
             };
+          t.unsettled <- t.unsettled + 1;
           Queue.push id t.queue;
           set_depth t;
           Condition.signal t.work;
@@ -1005,13 +1026,13 @@ module Manager = struct
     let reaps =
       locked t (fun () ->
           let reaps = ref [] in
-          Hashtbl.iter
-            (fun _id jr ->
-              if deadline_passed jr now then
+          (* collected first: settling edits [t.sessions] *)
+          Hashtbl.fold
+            (fun _id jr acc -> if deadline_passed jr now then jr :: acc else acc)
+            t.sessions []
+          |> List.iter (fun jr ->
                 match jr.jr_status with
-                | Queued ->
-                    jr.jr_status <- Timed_out;
-                    Condition.broadcast t.settled
+                | Queued -> settle t jr Timed_out
                 | Running ->
                     Atomic.set jr.jr_cancel true;
                     if
@@ -1034,15 +1055,12 @@ module Manager = struct
                             | Some r -> [ ("request", Telemetry.str r) ]));
                       mark_worker t w `Condemned ~request:rid
                         ~session:(Some jr.jr_id);
-                      jr.jr_status <- Timed_out;
-                      jr.jr_worker <- -1;
-                      Condition.broadcast t.settled;
+                      settle t jr Timed_out;
                       reaps := (w, rid) :: !reaps;
                       if not t.stopping then
                         spawn t ~backoff_attempt:t.reap_count
                     end
-                | _ -> ())
-            t.sessions;
+                | _ -> ());
           !reaps)
     in
     (* outside the lock: the hook dumps the flight recorder, which takes
@@ -1054,24 +1072,9 @@ module Manager = struct
 
   let status t id =
     locked t (fun () ->
-        Option.map (fun jr -> jr.jr_status) (Hashtbl.find_opt t.sessions id))
-
-  let await t id =
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
-        let rec wait () =
-          match Hashtbl.find_opt t.sessions id with
-          | None -> None
-          | Some jr -> (
-              match jr.jr_status with
-              | Done _ | Failed _ | Cancelled | Timed_out -> Some jr.jr_status
-              | Queued | Running ->
-                  Condition.wait t.settled t.lock;
-                  wait ())
-        in
-        wait ())
+        Option.map
+          (fun jr -> (jr.jr_status, jr.jr_request.request_id))
+          (Hashtbl.find_opt t.sessions id))
 
   let cancel t id =
     locked t (fun () ->
@@ -1081,13 +1084,14 @@ module Manager = struct
             Atomic.set jr.jr_cancel true;
             match jr.jr_status with
             | Queued ->
-                jr.jr_status <- Cancelled;
-                Condition.broadcast t.settled;
+                settle t jr Cancelled;
                 true
             | Running -> true
             | Done _ | Failed _ | Cancelled | Timed_out -> false))
 
   let queue_depth t = locked t (fun () -> Queue.length t.queue)
+  let busy t = locked t (fun () -> t.unsettled > 0)
+  let admitted t = locked t (fun () -> t.next - 1)
   let reaped t = locked t (fun () -> t.reap_count)
 
   let workers t =
@@ -1111,15 +1115,7 @@ module Manager = struct
         t.stopping <- true;
         Condition.broadcast t.work);
     let rec wait_idle () =
-      let busy =
-        locked t (fun () ->
-            Queue.length t.queue > 0
-            || Hashtbl.fold
-                 (fun _ jr acc ->
-                   acc || jr.jr_status = Running || jr.jr_status = Queued)
-                 t.sessions false)
-      in
-      if busy then begin
+      if busy t then begin
         tend t;
         Unix.sleepf 0.02;
         wait_idle ()

@@ -155,15 +155,26 @@ module Manager : sig
       replacement backoff (default: {!Synth.Supervisor.default_policy}
       with generous restarts, suited to a long-running daemon).
       [on_reap] fires outside the manager lock after each worker is
-      condemned — the serve daemon dumps the flight recorder there. *)
+      condemned — the serve daemon dumps the flight recorder there.
+      [on_settle] fires every time a session reaches a final status, from
+      whichever thread settled it (a worker domain, or the caller of
+      {!tend}/{!cancel}), with the manager lock held: it must be quick
+      and must not call back into the manager — the serve daemon writes
+      one byte to a self-pipe there to wake its event loop. *)
   val create :
     workers:int ->
     max_queue:int ->
     ?grace:float ->
     ?policy:Synth.Supervisor.policy ->
     ?on_reap:(worker:int -> request_id:string option -> unit) ->
+    ?on_settle:(unit -> unit) ->
     unit ->
     t
+
+  (** How many settled sessions stay queryable: once more have settled,
+      the oldest is forgotten and {!status} answers [None] for it.
+      Sessions still queued or running are always kept. *)
+  val retained : int
 
   (** [submit ?deadline_s t request] enqueues and returns the session
       id, or [Error `Backpressure] when the admission queue is full.
@@ -182,11 +193,10 @@ module Manager : sig
       settles as [Timed_out].  Bumps [serve.worker_reaped]. *)
   val tend : t -> unit
 
-  val status : t -> id -> status option
-
-  (** [await t id] blocks until the session settles ([Done]/[Failed]/
-      [Cancelled]/[Timed_out]). *)
-  val await : t -> id -> status option
+  (** [status t id] is the session's status and the request id it was
+      submitted with, or [None] for an id never admitted or already out
+      of the retention window. *)
+  val status : t -> id -> (status * string option) option
 
   (** [cancel t id] requests a cooperative stop: a queued session is
       dropped, a running one winds down as interrupted. *)
@@ -194,6 +204,12 @@ module Manager : sig
 
   (** Number of sessions queued but not yet running. *)
   val queue_depth : t -> int
+
+  (** Whether any session is queued or running. *)
+  val busy : t -> bool
+
+  (** Sessions admitted since creation, forgotten ones included. *)
+  val admitted : t -> int
 
   (** Workers reaped (condemned and replaced) since creation. *)
   val reaped : t -> int

@@ -36,28 +36,50 @@ module Key = struct
     | Ite (c, a, b) -> KIte (c.uid, a.uid, b.uid)
 end
 
-let table : (Key.k, t) Hashtbl.t = Hashtbl.create 4096
-let counter = ref 0
+(* Uids come from one process-wide atomic counter, so they never collide
+   across scopes and a uid sort stays a construction-order sort. *)
+let uids = Atomic.make 0
 
-(* The hash-consing table is global process state; portfolio workers build
-   expressions concurrently from several domains, so every lookup+insert is
-   one critical section.  Uncontended locking costs nanoseconds and solver
-   search (which never allocates expressions) dominates wall-clock. *)
-let table_lock = Mutex.create ()
+let true_ = { uid = Atomic.fetch_and_add uids 1; n = True }
+let false_ = { uid = Atomic.fetch_and_add uids 1; n = Not true_ }
+
+(* A hash-consing table.  Portfolio workers build expressions in one
+   scope from several domains, so every lookup+insert is one critical
+   section; solver search (which never allocates expressions) dominates
+   wall-clock.  The table is strongly held: a weak one would make uids,
+   and with them the CEGIS trajectory, depend on GC timing. *)
+type scope = { table : (Key.k, t) Hashtbl.t; lock : Mutex.t }
+
+let new_scope () =
+  let table = Hashtbl.create 4096 in
+  Hashtbl.add table Key.KTrue true_;
+  Hashtbl.add table (Key.KNot true_.uid) false_;
+  { table; lock = Mutex.create () }
+
+(* Every domain starts in the one process-wide scope. *)
+let scope_key =
+  let global = new_scope () in
+  Domain.DLS.new_key (fun () -> global)
+
+let current_scope () = Domain.DLS.get scope_key
+
+let with_scope scope f =
+  let prev = Domain.DLS.get scope_key in
+  Domain.DLS.set scope_key scope;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set scope_key prev) f
+
+let scope_size s = Mutex.protect s.lock (fun () -> Hashtbl.length s.table)
 
 let mk n =
   let key = Key.of_node n in
-  Mutex.protect table_lock (fun () ->
-      match Hashtbl.find_opt table key with
+  let s = current_scope () in
+  Mutex.protect s.lock (fun () ->
+      match Hashtbl.find_opt s.table key with
       | Some e -> e
       | None ->
-          let e = { uid = !counter; n } in
-          incr counter;
-          Hashtbl.add table key e;
+          let e = { uid = Atomic.fetch_and_add uids 1; n } in
+          Hashtbl.add s.table key e;
           e)
-
-let true_ = mk True
-let false_ = mk (Not true_)
 
 let var i =
   if i < 0 then invalid_arg "Expr.var: negative index";

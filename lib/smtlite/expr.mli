@@ -4,7 +4,13 @@
     physically equal, so equality and hashing are O(1) and the Tseitin
     translation caches per node.  Smart constructors perform light
     simplification (constant folding, involution of negation, duplicate and
-    complement detection in [and_]/[or_]). *)
+    complement detection in [and_]/[or_]).
+
+    Sharing is per {e scope}: each domain builds into its current
+    {!scope}, which starts as one process-wide table.  A caller that runs
+    many independent problems in one process (the serve daemon) gives
+    each its own scope, so the nodes of a finished run can be collected
+    instead of living in the table for the life of the process. *)
 
 type t
 
@@ -17,7 +23,8 @@ type node = private
   | Xor of t * t
   | Ite of t * t * t
 
-(** [id e] is a unique identifier for the node (stable within a process). *)
+(** [id e] identifies the node: ids are unique within a process, and
+    structurally equal nodes built in one scope share theirs. *)
 val id : t -> int
 
 (** [node e] exposes the node structure for traversal. *)
@@ -63,7 +70,8 @@ val is_true : t -> bool
 
 val is_false : t -> bool
 
-(** [equal a b] is physical equality (valid thanks to hash-consing). *)
+(** [equal a b] is physical equality (valid thanks to hash-consing, for
+    nodes built in one scope). *)
 val equal : t -> t -> bool
 
 val hash : t -> int
@@ -80,3 +88,27 @@ val vars : t -> int list
 val size : t -> int
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Hash-consing scopes} *)
+
+(** A hash-consing table.  Structurally equal expressions built in the
+    same scope are physically equal; built in different scopes they are
+    distinct nodes with distinct ids (still semantically equal).  Every
+    scope already holds {!true_} and {!false_}. *)
+type scope
+
+(** [new_scope ()] is a scope holding only the constants, not yet
+    installed in any domain. *)
+val new_scope : unit -> scope
+
+(** The scope the calling domain is building into. *)
+val current_scope : unit -> scope
+
+(** [with_scope s f] runs [f] with [s] as the calling domain's scope and
+    restores the previous one afterwards.  A scope does not cross
+    [Domain.spawn] by itself: capture {!current_scope} before spawning
+    and re-install it in the child. *)
+val with_scope : scope -> (unit -> 'a) -> 'a
+
+(** [scope_size s] is the number of nodes [s] holds, constants included. *)
+val scope_size : scope -> int

@@ -605,16 +605,20 @@ let synthesize ?(timeout = 120.0) ?(jobs = 4) ?(restart_interval = 20.0)
             ~pool ~best ~origin_counter ~ext_interrupt:interrupt ~on_cex
             round_configs
       | _ ->
-          (* ambient span context (the serve request id) is per-domain
-             state: capture it here and re-install in each worker so the
-             spawned solvers' events stay correlated to the request *)
+          (* ambient span context (the serve request id) and the
+             hash-consing scope are per-domain state: capture them here
+             and re-install in each worker so the spawned solvers' events
+             stay correlated to the request and their expressions share
+             the run's nodes *)
           let ctx = Telemetry.current_context () in
+          let scope = Expr.current_scope () in
           let domains =
             List.mapi
               (fun i c ->
                 Domain.spawn (fun () ->
-                    with_runtime_request ctx (fun () ->
-                        Telemetry.with_context ctx (fun () -> run i c))))
+                    Expr.with_scope scope (fun () ->
+                        with_runtime_request ctx (fun () ->
+                            Telemetry.with_context ctx (fun () -> run i c)))))
               round_configs
           in
           List.map Domain.join domains
@@ -729,12 +733,14 @@ let verify_min_distance ?(timeout = 120.0) ?(jobs = 4) code m =
   | [ only ] -> run only
   | _ ->
       let ctx = Telemetry.current_context () in
+      let scope = Expr.current_scope () in
       let domains =
         List.map
           (fun s ->
             Domain.spawn (fun () ->
-                with_runtime_request ctx (fun () ->
-                    Telemetry.with_context ctx (fun () -> run s))))
+                Expr.with_scope scope (fun () ->
+                    with_runtime_request ctx (fun () ->
+                        Telemetry.with_context ctx (fun () -> run s)))))
           strategies
       in
       List.iter Domain.join domains);

@@ -267,6 +267,62 @@ let test_warm_start_pools () =
   Alcotest.(check int) "corrupt pool skipped" 0
     (List.length (Cache.warm_start ~dir ~data_len:4 ~md:3))
 
+(* ---------- run-scoped hash-consing ---------- *)
+
+module Session = Fec_session.Session
+module Expr = Smtlite.Expr
+
+let synth_request ~k ~c ~md =
+  let prop =
+    Printf.sprintf "len_G = 1 && len_d(G[0]) = %d && len_c(G[0]) = %d && md(G[0]) = %d"
+      k c md
+  in
+  {
+    (Session.default_request
+       (Session.Synth { prop; weights = None; portfolio = false; jobs = 1 }))
+    with
+    Session.no_ledger = true;
+  }
+
+let test_run_sync_repeatable () =
+  (* each run hash-conses into a scope of its own: a second run in the
+     same process rebuilds the same uid order and so the same CEGIS
+     trajectory, and nothing lands in the process-wide table *)
+  let global = Expr.current_scope () in
+  let before = Expr.scope_size global in
+  let counts () =
+    match (Session.run_sync (synth_request ~k:10 ~c:10 ~md:5)).Session.outcome with
+    | Session.Codes (_, st) ->
+        (st.Synth.Report.Stats.iterations, st.Synth.Report.Stats.syn_conflicts)
+    | _ -> Alcotest.fail "(10,10,5) did not synthesize"
+  in
+  let first = counts () in
+  Alcotest.(check (pair int int)) "second run identical" first (counts ());
+  Alcotest.(check (pair int int)) "(10,10,5) iterations, syn conflicts" (42, 161) first;
+  Alcotest.(check int) "process-wide scope untouched" before (Expr.scope_size global)
+
+let test_portfolio_shares_scope () =
+  (* both portfolio spawn sites (the synthesis race and the verification
+     race) must carry the caller's scope into their worker domains *)
+  let global = Expr.current_scope () in
+  let before = Expr.scope_size global in
+  let scope = Expr.new_scope () in
+  let problem =
+    { Synth.Cegis.data_len = 6; check_len = 5; min_distance = 4; extra = [] }
+  in
+  Expr.with_scope scope (fun () ->
+      match
+        Synth.Portfolio.synthesize ~timeout:60.0 ~jobs:2 ~scheduler:`Domains problem
+      with
+      | Synth.Report.Synthesized (code, report) ->
+          Alcotest.(check int) "2 workers" 2 (List.length report.Synth.Portfolio.workers);
+          let answer, _, _ = Synth.Portfolio.verify_min_distance ~timeout:60.0 ~jobs:3 code 4 in
+          Alcotest.(check bool) "verified" true (answer = Synth.Portfolio.Holds)
+      | _ -> Alcotest.fail "(6,5,4) did not synthesize");
+  Alcotest.(check int) "no worker built into the process-wide scope" before
+    (Expr.scope_size global);
+  Alcotest.(check bool) "the run's nodes live in its scope" true (Expr.scope_size scope > 2)
+
 let () =
   Alcotest.run "session"
     [
@@ -299,5 +355,12 @@ let () =
         [
           Alcotest.test_case "warm starts filter on problem shape" `Quick
             test_warm_start_pools;
+        ] );
+      ( "scope",
+        [
+          Alcotest.test_case "run_sync is repeatable in one process" `Quick
+            test_run_sync_repeatable;
+          Alcotest.test_case "portfolio workers share the run's scope" `Quick
+            test_portfolio_shares_scope;
         ] );
     ]

@@ -37,6 +37,41 @@ let test_expr_eval () =
   Alcotest.(check bool) "10" false (ev true false);
   Alcotest.(check bool) "11" true (ev true true)
 
+(* ---------- hash-consing scopes ---------- *)
+
+(* built in a function of its own so no stack slot of the caller holds
+   the node once the scope has ended *)
+let[@inline never] weak_node_in scope =
+  let w = Weak.create 1 in
+  Expr.with_scope scope (fun () ->
+      Weak.set w 0 (Some (Expr.and_ [ Expr.var 900_001; Expr.var 900_002 ])));
+  w
+
+let test_scope_collects () =
+  let w = weak_node_in (Expr.new_scope ()) in
+  Gc.full_major ();
+  Alcotest.(check bool) "node of an ended scope collected" false (Weak.check w 0);
+  (* the process-wide scope holds its nodes for good: the contrast *)
+  let w = weak_node_in (Expr.current_scope ()) in
+  Gc.full_major ();
+  Alcotest.(check bool) "process-wide node kept" true (Weak.check w 0)
+
+let test_scope_sharing () =
+  let outside = Expr.var 7 in
+  let scope = Expr.new_scope () in
+  Alcotest.(check int) "seeded with the constants" 2 (Expr.scope_size scope);
+  Expr.with_scope scope (fun () ->
+      Alcotest.(check bool) "not true == false" true (Expr.not_ Expr.true_ == Expr.false_);
+      Alcotest.(check bool) "not false == true" true (Expr.not_ Expr.false_ == Expr.true_);
+      let x = Expr.var 7 and y = Expr.var 8 in
+      Alcotest.(check bool) "structural sharing" true (Expr.and_ [ x; y ] == Expr.and_ [ y; x ]);
+      Alcotest.(check bool) "var shared" true (Expr.var 7 == x);
+      Alcotest.(check bool) "x and not x" true (Expr.is_false (Expr.and_ [ x; Expr.not_ x ]));
+      Alcotest.(check bool) "other scope's node is distinct" false (Expr.equal x outside);
+      Alcotest.(check bool) "ids unique across scopes" true (Expr.id x <> Expr.id outside));
+  Alcotest.(check bool) "scope grew" true (Expr.scope_size scope > 2);
+  Alcotest.(check bool) "previous scope restored" true (Expr.var 7 == outside)
+
 let test_expr_vars_size () =
   let e = Expr.and_ [ Expr.var 5; Expr.xor (Expr.var 2) (Expr.var 5) ] in
   Alcotest.(check (list int)) "vars" [ 2; 5 ] (Expr.vars e);
@@ -446,6 +481,11 @@ let () =
           Alcotest.test_case "simplification" `Quick test_expr_simplification;
           Alcotest.test_case "eval" `Quick test_expr_eval;
           Alcotest.test_case "vars/size" `Quick test_expr_vars_size;
+        ] );
+      ( "scope",
+        [
+          Alcotest.test_case "ended scope is collected" `Quick test_scope_collects;
+          Alcotest.test_case "sharing within a fresh scope" `Quick test_scope_sharing;
         ] );
       ( "tseitin",
         [

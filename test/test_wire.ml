@@ -3,8 +3,9 @@
    torn half-frames and must answer each with one typed error, close
    the offending connection, and keep serving everyone else.  Also
    covers the deadline path (a fault-injected stalled worker must turn
-   into a [timeout] reply, not a hang) and the retrying client (rides
-   out a daemon that binds its socket late). *)
+   into a [timeout] reply, not a hang), prompt answers to awaited
+   submits, the bounded window of settled sessions, and the retrying
+   client (rides out a daemon that binds its socket late). *)
 
 module Srv = Fec_session.Server
 module Client = Fec_session.Client
@@ -16,7 +17,7 @@ let tmpdir () =
   Unix.mkdir path 0o700;
   path
 
-let config ?(grace = 0.5) ?(max_frame = 1 lsl 20) ~dir () =
+let config ?(grace = 0.5) ?(max_frame = 1 lsl 20) ?cache_dir ~dir () =
   {
     (Srv.default_config ~socket:(Filename.concat dir "s.sock")) with
     Srv.workers = 1;
@@ -24,7 +25,8 @@ let config ?(grace = 0.5) ?(max_frame = 1 lsl 20) ~dir () =
     grace;
     max_frame;
     idle_timeout = 0.0;
-    cache = false;
+    cache = cache_dir <> None;
+    cache_dir;
     no_ledger = true;
   }
 
@@ -46,9 +48,9 @@ let shutdown socket =
   ignore (Client.rpc ~timeout:5.0 t (J.Obj [ ("op", J.Str "shutdown") ]));
   Client.close t
 
-let with_server ?grace ?max_frame f =
+let with_server ?grace ?max_frame ?cache_dir f =
   let dir = tmpdir () in
-  let cfg = config ?grace ?max_frame ~dir () in
+  let cfg = config ?grace ?max_frame ?cache_dir ~dir () in
   let d = start cfg in
   wait_socket cfg.Srv.socket;
   Fun.protect
@@ -204,6 +206,68 @@ let test_deadline_timeout () =
                reaping"
               wall))
 
+(* ---------- settle wakeup and retention ---------- *)
+
+let small_spec = "len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) = 3 && md(G[0]) = 3"
+
+let submit_await t =
+  Client.rpc ~timeout:60.0 t
+    (J.Obj
+       [
+         ("op", J.Str "submit"); ("await", J.Bool true); ("jobs", J.Int 1);
+         ("spec", J.Str small_spec);
+       ])
+
+let test_awaited_hits_are_prompt () =
+  (* an await is answered when its session settles, not on the loop's
+     50 ms housekeeping tick: 20 cache hits in a row take a few ms each,
+     where waiting for the tick would cost at least 1 s in total *)
+  with_server ~cache_dir:(tmpdir ()) (fun socket ->
+      let t = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close t)
+        (fun () ->
+          ignore (submit_await t);
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to 20 do
+            check_contains "awaited hit" (J.to_string (submit_await t)) "\"cache_hit\":true"
+          done;
+          let wall = Unix.gettimeofday () -. t0 in
+          if wall >= 0.5 then
+            Alcotest.failf "20 awaited cache hits took %.3fs (limit 0.5s)" wall))
+
+let test_retention_window () =
+  (* settled sessions stay queryable in a FIFO window of
+     [Manager.retained]; older ones are forgotten, while stats keeps
+     counting every admission *)
+  let window = Fec_session.Session.Manager.retained in
+  let n = window + 3 in
+  with_server ~cache_dir:(tmpdir ()) (fun socket ->
+      let t = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close t)
+        (fun () ->
+          let ids =
+            List.init n (fun _ ->
+                match Option.bind (J.member "id" (submit_await t)) J.to_int with
+                | Some id -> id
+                | None -> Alcotest.fail "awaited submit carries no id")
+          in
+          let status id =
+            J.to_string (Client.rpc ~timeout:5.0 t (J.Obj [ ("op", J.Str "status"); ("id", J.Int id) ]))
+          in
+          let nth i = List.nth ids i in
+          check_contains "oldest forgotten" (status (nth 0)) "\"kind\":\"unknown_id\"";
+          check_contains "last outside the window forgotten" (status (nth (n - window - 1)))
+            "\"kind\":\"unknown_id\"";
+          check_contains "first inside the window kept" (status (nth (n - window))) "\"state\":\"done\"";
+          let newest = status (nth (n - 1)) in
+          check_contains "newest kept" newest "\"state\":\"done\"";
+          check_contains "newest keeps its request id" newest "\"request\":\"r";
+          let stats = Client.rpc ~timeout:5.0 t (J.Obj [ ("op", J.Str "stats") ]) in
+          Alcotest.(check (option int)) "stats counts every admission" (Some n)
+            (Option.bind (J.member "sessions" stats) J.to_int)))
+
 (* ---------- observability ops ---------- *)
 
 let test_stats_worker_detail () =
@@ -340,6 +404,13 @@ let () =
       ( "deadlines",
         [ Alcotest.test_case "stalled worker times out" `Quick
             test_deadline_timeout ] );
+      ( "settle",
+        [
+          Alcotest.test_case "awaited hits answered promptly" `Quick
+            test_awaited_hits_are_prompt;
+          Alcotest.test_case "settled sessions kept in a window" `Quick
+            test_retention_window;
+        ] );
       ( "observability",
         [
           Alcotest.test_case "stats carries per-worker detail" `Quick
