@@ -8,8 +8,8 @@ SMOKE_SPEC := len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) = 3 && md(G[0]) = 3
 
 # Bench regression gate: the current PR's baseline file, the (fast,
 # deterministic) experiment subset it runs, and the tolerated drift.
-BENCH_OUT := BENCH_pr12.json
-BENCH_GATE_EXPERIMENTS := ablation-card ablation-cex multibit sat
+BENCH_OUT := BENCH_pr13.json
+BENCH_GATE_EXPERIMENTS := ablation-card ablation-cex multibit sat table1
 BENCH_GATE_THRESHOLD := 25
 # ns_per_prop is wall-clock-derived (unlike the exact iteration/conflict
 # counters), so on this single-core container it wobbles with load; the
@@ -142,7 +142,7 @@ bench: build
 	FEC_BENCH_SCALE=100 dune exec bench/main.exe
 
 # Solver-only benchmark over the committed DIMACS corpus.  Each instance
-# runs under a per-instance conflict-budget timeout (FEC_SAT_TIMEOUT,
+# runs under a per-instance wall-clock timeout (FEC_SAT_TIMEOUT,
 # seconds) and reports propagations/sec and conflicts/sec; the run
 # self-records into the run ledger so `runs trend` can gate on
 # ns_per_prop drift across checkouts.

@@ -36,14 +36,88 @@ let iter_weight k w f =
    with Stop -> ());
   !result
 
+(* ---------- int-mask kernel ---------- *)
+
+(* With every check bit in one native int, the check part of a data
+   word's codeword is the XOR of the P-row masks of its set bits, and its
+   weight a popcount.  Wider codes keep the [Bitvec] path above. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x =
+    (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+  in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+let row_masks code =
+  if Code.check_len code > Sys.int_size then None
+  else
+    let p = Code.coefficient_matrix code in
+    Some
+      (Array.init (Code.data_len code) (fun i ->
+           let acc = ref 0 in
+           Bitvec.iter_set (fun j -> acc := !acc lor (1 lsl j)) (Matrix.row p i);
+           !acc))
+
+(* [scan_masks rows w visit] walks the w-subsets of the data bits in the
+   same lexicographic order as [iter_weight], keeping the XOR of each
+   prefix of the subset, so the usual step (bumping the last index) costs
+   one XOR.  It stops at the first subset whose check mask [visit]
+   accepts and returns that subset's indices. *)
+let scan_masks rows w visit =
+  let k = Array.length rows in
+  if w < 1 || w > k then None
+  else begin
+    let idx = Array.init w Fun.id in
+    let acc = Array.make w 0 in
+    (* refresh the prefix XORs from position [pos] on *)
+    let refresh pos =
+      for q = pos to w - 1 do
+        acc.(q) <- (if q = 0 then 0 else acc.(q - 1)) lxor rows.(idx.(q))
+      done
+    in
+    refresh 0;
+    let found = ref false and continue = ref true in
+    while !continue do
+      if visit acc.(w - 1) then begin
+        found := true;
+        continue := false
+      end
+      else begin
+        (* advance idx to the next w-subset, as [iter_weight] does *)
+        let pos = ref (w - 1) in
+        while !pos >= 0 && idx.(!pos) >= k - (w - !pos) do
+          decr pos
+        done;
+        if !pos < 0 then continue := false
+        else begin
+          idx.(!pos) <- idx.(!pos) + 1;
+          for q = !pos + 1 to w - 1 do
+            idx.(q) <- idx.(q - 1) + 1
+          done;
+          refresh !pos
+        end
+      end
+    done;
+    if !found then Some idx else None
+  end
+
 (* Minimum codeword weight restricted to data words of weight [w]. *)
 let best_at_weight code w bound =
   let best = ref bound in
-  ignore
-    (iter_weight (Code.data_len code) w (fun d ->
-         let cw = Bitvec.popcount (Code.encode code d) in
-         if cw < !best then best := cw;
-         None));
+  (match row_masks code with
+  | Some rows ->
+      ignore
+        (scan_masks rows w (fun checks ->
+             let cw = w + popcount checks in
+             if cw < !best then best := cw;
+             false))
+  | None ->
+      ignore
+        (iter_weight (Code.data_len code) w (fun d ->
+             let cw = Bitvec.popcount (Code.encode code d) in
+             if cw < !best then best := cw;
+             None)));
   !best
 
 let min_distance code =
@@ -71,17 +145,27 @@ let counterexample ?interrupt code m =
           incr n;
           if !n land 8191 = 0 && f () then raise Smtlite.Ctx.Interrupted
   in
+  let at_weight =
+    match row_masks code with
+    | Some rows ->
+        fun w ->
+          scan_masks rows w (fun checks ->
+              poll ();
+              w + popcount checks < m)
+          |> Option.map (fun idx ->
+                 let d = Bitvec.create k in
+                 Array.iter (fun i -> Bitvec.set d i true) idx;
+                 d)
+    | None ->
+        fun w ->
+          iter_weight k w (fun d ->
+              poll ();
+              if Bitvec.popcount (Code.encode code d) < m then Some (Bitvec.copy d)
+              else None)
+  in
   let rec go w =
     if w >= m || w > k then None
-    else
-      match
-        iter_weight k w (fun d ->
-            poll ();
-            if Bitvec.popcount (Code.encode code d) < m then Some (Bitvec.copy d)
-            else None)
-      with
-      | Some d -> Some d
-      | None -> go (w + 1)
+    else match at_weight w with Some d -> Some d | None -> go (w + 1)
   in
   go 1
 

@@ -26,7 +26,9 @@ val has_min_distance : Code.t -> int -> bool
 
 (** [counterexample ?interrupt code m] is a non-zero data word whose
     codeword has weight < [m], if one exists — the witness the CEGIS
-    verifier feeds back to the synthesizer.  [interrupt] is polled
+    verifier feeds back to the synthesizer.  It is the first such word by
+    ascending data weight, and within a weight by lexicographic order of
+    its set-bit indices.  [interrupt] is polled
     periodically during enumeration; {!Smtlite.Ctx.Interrupted} escapes
     when it returns [true] (used by the portfolio to cancel losers). *)
 val counterexample :

@@ -33,7 +33,6 @@
    deleted, so the proof stays a valid RUP sequence).  The arena is
    compacted when enough of it is dead. *)
 
-exception Budget_exhausted
 exception Interrupted
 
 type result = Sat | Unsat
@@ -95,7 +94,6 @@ type t = {
   mutable stamp_ctr : int;
   mutable model_ : bool array;
   mutable model_valid : bool;
-  mutable conflict_budget : int option;
   mutable interrupt : (unit -> bool) option;
   mutable rng : int64 option; (* None = deterministic default search *)
   mutable proof_log : Buffer.t option;
@@ -176,7 +174,6 @@ let create () =
     stamp_ctr = 0;
     model_ = [||];
     model_valid = false;
-    conflict_budget = None;
     interrupt = None;
     rng = None;
     proof_log = None;
@@ -265,33 +262,52 @@ let check_interrupt s =
 
 (* ---------- variable order heap (max-heap on activity) ---------- *)
 
-let heap_less s a b = s.activity.(a) > s.activity.(b)
-
-let heap_swap s i j =
-  let vi = s.heap.(i) and vj = s.heap.(j) in
-  s.heap.(i) <- vj;
-  s.heap.(j) <- vi;
-  s.heap_pos.(vj) <- i;
-  s.heap_pos.(vi) <- j
-
-let rec heap_up s i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if heap_less s s.heap.(i) s.heap.(p) then begin
-      heap_swap s i p;
-      heap_up s p
+(* Both sifts move a hole instead of swapping pairs: the moving variable
+   is written once, at its final slot, and every entry it passes shifts
+   one level with a single write. *)
+let heap_up s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let w = heap.(p) in
+    if a > act.(w) then begin
+      heap.(!i) <- w;
+      pos.(w) <- !i;
+      i := p
     end
-  end
+    else continue := false
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
-let rec heap_down s i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < s.heap_size && heap_less s s.heap.(l) s.heap.(!best) then best := l;
-  if r < s.heap_size && heap_less s s.heap.(r) s.heap.(!best) then best := r;
-  if !best <> i then begin
-    heap_swap s i !best;
-    heap_down s !best
-  end
+let heap_down s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let size = s.heap_size in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= size then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < size && act.(heap.(r)) > act.(heap.(l)) then r else l
+      in
+      let w = heap.(c) in
+      if act.(w) > a then begin
+        heap.(!i) <- w;
+        pos.(w) <- !i;
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
@@ -1262,9 +1278,6 @@ let search s ~assumptions ~conflict_limit =
         s.n_conflicts <- s.n_conflicts + 1;
         incr conflicts;
         if s.n_conflicts land 63 = 0 then check_interrupt s;
-        (match s.conflict_budget with
-        | Some b when s.n_conflicts > b -> raise Budget_exhausted
-        | _ -> ());
         if decision_level s = 0 then begin
           proof_empty s;
           s.okay <- false;
@@ -1373,13 +1386,9 @@ let solve_body ?(assumptions = []) s =
            | Out_restart -> ()
          end
        done
-     with
-    | Budget_exhausted ->
-        cancel_until s 0;
-        raise Budget_exhausted
-    | Interrupted ->
-        cancel_until s 0;
-        raise Interrupted);
+     with Interrupted ->
+       cancel_until s 0;
+       raise Interrupted);
     cancel_until s 0;
     match !result with Some r -> r | None -> assert false
   end
@@ -1457,9 +1466,6 @@ let solve ?assumptions s =
     | Unsat ->
         finish "unsat";
         Unsat
-    | exception Budget_exhausted ->
-        finish "budget";
-        raise Budget_exhausted
     | exception Interrupted ->
         finish "interrupted";
         raise Interrupted
@@ -1478,8 +1484,8 @@ let model s =
   if not s.model_valid then invalid_arg "Solver.model: no model available";
   Array.copy s.model_
 
-let set_conflict_budget s b = s.conflict_budget <- b
 let set_interrupt s f = s.interrupt <- f
+let interrupt s = s.interrupt
 let set_reduce_limit s n = s.reduce_limit <- n
 let set_inprocess_interval s i = s.inprocess_interval <- i
 

@@ -84,13 +84,6 @@ val stats : t -> stats
     {!Telemetry.Metrics.Hist.add} (e.g. across portfolio workers). *)
 val learnt_size_histogram : t -> Telemetry.Metrics.Hist.t
 
-(** [set_conflict_budget s n] limits the next [solve] calls to [n] conflicts
-    each; the solver raises {!Budget_exhausted} when exceeded.  [None]
-    removes the limit. *)
-val set_conflict_budget : t -> int option -> unit
-
-exception Budget_exhausted
-
 (** [set_seed s seed] installs a deterministic PRNG that diversifies the
     search: saved phases of existing and future variables are scrambled, and
     ~2% of decisions branch on a random unassigned variable or flip the
@@ -107,6 +100,10 @@ val set_seed : t -> int -> unit
     like a restart).  Used by losing portfolio workers to stop promptly
     once a sibling has won.  [None] removes the check. *)
 val set_interrupt : t -> (unit -> bool) option -> unit
+
+(** [interrupt s] is the cancellation check currently installed, so a
+    caller can wrap it for one solve and put it back afterwards. *)
+val interrupt : t -> (unit -> bool) option
 
 exception Interrupted
 

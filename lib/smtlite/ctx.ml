@@ -130,39 +130,47 @@ let rec assert_ ctx e =
       in
       Sat.Solver.add_clause ctx.solver clause
 
-(* Run the solver in conflict-bounded slices so a wall-clock deadline can
-   interrupt long searches; learnt clauses persist across slices. *)
+(* A deadline is polled where the solver already polls its interrupt
+   (every 64 conflicts and 1024 decisions), never by re-entering the
+   solver, which would reset its restart schedule and learnt-clause limit:
+   a bounded check follows exactly the search of an unbounded one.  The
+   caller's own interrupt is asked first and still surfaces as
+   [Interrupted]; only an expired deadline becomes [Timeout]. *)
 let check_body ?deadline ?(assumptions = []) ctx =
   Sat.Solver.probe "ctx.check";
   ctx.last_sat <- false;
   let assumption_lits =
     ctx.selectors @ List.map (lit_of ctx) assumptions
   in
-  let slice = 20_000 in
-  let rec attempt () =
-    (match deadline with
-    | Some d when Unix.gettimeofday () > d -> raise Timeout
-    | _ -> ());
-    (match deadline with
-    | Some _ ->
-        let used = (Sat.Solver.stats ctx.solver).Sat.Solver.conflicts in
-        Sat.Solver.set_conflict_budget ctx.solver (Some (used + slice))
-    | None -> Sat.Solver.set_conflict_budget ctx.solver None);
+  let solve () =
     match Sat.Solver.solve ~assumptions:assumption_lits ctx.solver with
     | Sat.Solver.Sat ->
         ctx.last_sat <- true;
         Sat
     | Sat.Solver.Unsat -> Unsat
-    | exception Sat.Solver.Budget_exhausted -> attempt ()
   in
-  Fun.protect
-    ~finally:(fun () -> Sat.Solver.set_conflict_budget ctx.solver None)
-    attempt
+  match deadline with
+  | None -> solve ()
+  | Some d when Unix.gettimeofday () > d -> raise Timeout
+  | Some d ->
+      let user = Sat.Solver.interrupt ctx.solver in
+      let expired = ref false in
+      Sat.Solver.set_interrupt ctx.solver
+        (Some
+           (fun () ->
+             (match user with Some f -> f () | None -> false)
+             || begin
+                  expired := Unix.gettimeofday () > d;
+                  !expired
+                end));
+      Fun.protect
+        ~finally:(fun () -> Sat.Solver.set_interrupt ctx.solver user)
+        (fun () -> try solve () with Interrupted when !expired -> raise Timeout)
 
 (* Each check becomes a [ctx.check] span; the Tseitin translation of the
    assumption expressions happens inside it, so the reported new_vars /
    new_clauses deltas are the encoding cost of this query (the enclosed
-   [sat.solve] spans carry the per-slice search statistics). *)
+   [sat.solve] span carries the search statistics). *)
 let m_checks = Telemetry.Metrics.counter "smtlite.checks"
 let m_aux_vars = Telemetry.Metrics.counter "smtlite.aux_vars"
 let m_aux_clauses = Telemetry.Metrics.counter "smtlite.aux_clauses"

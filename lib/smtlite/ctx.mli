@@ -38,8 +38,10 @@ val level : t -> int
 
 (** [check ?deadline ?assumptions ctx] decides satisfiability of all active
     assertions, optionally under extra assumption expressions.
-    [deadline] is an absolute {!Unix.gettimeofday} instant; when the solver
-    exceeds it, @raise Timeout. *)
+    [deadline] is an absolute {!Unix.gettimeofday} instant, polled where
+    the solver polls its interrupt, so it never changes the search; when
+    the solver exceeds it, @raise Timeout.  A firing interrupt (or an
+    injected fault) still raises {!Interrupted}. *)
 val check : ?deadline:float -> ?assumptions:Expr.t list -> t -> result
 
 (** [model_bool ctx e] evaluates [e] in the model of the last [Sat] answer.

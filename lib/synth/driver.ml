@@ -190,21 +190,36 @@ let analyze prop =
     else Error "more than two generators are not supported"
   with Unsupported msg -> Error msg
 
+(* a pinned entry must lie inside the largest generator [s] allows *)
+let check_pin s (r, c, _) =
+  if r < 0 || r >= s.data_len then
+    invalid_arg (Printf.sprintf "pinned entry row %d out of range" r);
+  if c < 0 || c >= s.data_len + s.check_hi then
+    invalid_arg
+      (Printf.sprintf
+         "pinned entry G[0](%d, %d) is outside the %d-column generator \
+          (len_d %d + len_c %d)"
+         r c (s.data_len + s.check_hi) s.data_len s.check_hi)
+
 (* translate pinned generator entries into coefficient-matrix constraints;
-   language column indices cover the whole generator (identity included) *)
+   language column indices cover the whole generator (identity included);
+   each pin is checked when the list is built, before any solving *)
 let fixed_bit_constraints s =
   List.map
-    (fun (r, c, v) ~entry ->
-      if r < 0 || r >= s.data_len then
-        invalid_arg (Printf.sprintf "pinned entry row %d out of range" r)
-      else if c < s.data_len then
-        (* identity part: constraint must agree with I_k *)
-        if (r = c) = v then Smtlite.Expr.true_ else Smtlite.Expr.false_
-      else
-        let col = c - s.data_len in
-        let e = entry ~row:r ~col in
-        if v then e else Smtlite.Expr.not_ e)
+    (fun ((r, c, v) as pin) ->
+      check_pin s pin;
+      fun ~entry ->
+        if c < s.data_len then
+          (* identity part: constraint must agree with I_k *)
+          if (r = c) = v then Smtlite.Expr.true_ else Smtlite.Expr.false_
+        else
+          let e = entry ~row:r ~col:(c - s.data_len) in
+          if v then e else Smtlite.Expr.not_ e)
     s.fixed_bits
+
+(* the shortest check length whose generator holds every pinned column *)
+let pinned_check_len s =
+  List.fold_left (fun acc (_, c, _) -> max acc (c - s.data_len + 1)) 0 s.fixed_bits
 
 let len1_constraint s =
   match s.len1_max with
@@ -268,6 +283,9 @@ let run_single ?timeout ?jobs ?on_report ?(interrupt = fun () -> false)
         Hamming.Code.data_len code = s.data_len
         && Hamming.Code.check_len code = c
   in
+  (* a pin no length in range can hold is an error naming the entry;
+     lengths too short for the pins are skipped *)
+  List.iter (check_pin s) s.fixed_bits;
   let rec go c =
     if c > s.check_hi then Unsat "no check length in range admits the spec"
     else if interrupt () then Timeout "interrupted"
@@ -287,7 +305,7 @@ let run_single ?timeout ?jobs ?on_report ?(interrupt = fun () -> false)
              hand: surface it instead of discarding the work *)
           Partial_code (code, stats)
   in
-  go s.check_lo
+  go (max s.check_lo (pinned_check_len s))
 
 let run ?timeout ?weights ?p ?jobs ?on_report ?interrupt ?initial ?on_cex prop
     =

@@ -223,6 +223,72 @@ let prop_sat_counterexample_is_witness =
       | Some d ->
           (not (Bitvec.is_zero d)) && Bitvec.popcount (Code.encode code d) < m)
 
+(* Reference verifier: data words by ascending weight, each weight's
+   index sets in lexicographic order, encoded as bit vectors. *)
+let reference_counterexample code m =
+  let k = Code.data_len code in
+  let exception Found of Bitvec.t in
+  let rec subsets w start chosen =
+    if w = 0 then begin
+      let d = Bitvec.init k (fun i -> List.mem i chosen) in
+      if Bitvec.popcount (Code.encode code d) < m then raise (Found d)
+    end
+    else
+      for i = start to k - w do
+        subsets (w - 1) (i + 1) (i :: chosen)
+      done
+  in
+  try
+    for w = 1 to min (m - 1) k do
+      subsets w 0 []
+    done;
+    None
+  with Found d -> Some d
+
+let arb_verifier_case =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 14 >>= fun k ->
+      int_range 1 12 >>= fun c ->
+      int_range 1 8 >>= fun m ->
+      map
+        (fun bits ->
+          ( Code.make
+              ~p:(Matrix.init ~rows:k ~cols:c (fun i j -> bits.((i * c) + j))),
+            m ))
+        (array_repeat (k * c) bool))
+  in
+  QCheck.make
+    ~print:(fun (code, m) -> Printf.sprintf "m=%d\n%s" m (Code.to_string code))
+    gen
+
+let prop_counterexample_matches_reference =
+  QCheck.Test.make ~name:"counterexample matches lexicographic reference"
+    ~count:2000 arb_verifier_case (fun (code, m) ->
+      Option.equal Bitvec.equal
+        (Distance.counterexample code m)
+        (reference_counterexample code m))
+
+let test_counterexample_wide_checks () =
+  (* more check bits than an int holds: the Bitvec path answers *)
+  let c = Sys.int_size + 1 in
+  let code =
+    Code.make
+      ~p:(Matrix.init ~rows:5 ~cols:c (fun i j -> (j < 2 * (i + 1)) || j = c - 1))
+  in
+  List.iter
+    (fun m ->
+      let got = Distance.counterexample code m in
+      Alcotest.(check bool)
+        (Printf.sprintf "m=%d agrees" m)
+        true
+        (Option.equal Bitvec.equal got (reference_counterexample code m));
+      Alcotest.(check bool)
+        (Printf.sprintf "m=%d witness" m)
+        (m > Distance.min_distance code)
+        (Option.is_some got))
+    [ 2; 4; 5; 8; 12 ]
+
 let test_certified_verification () =
   (* (7,4): md >= 3 yields a checker-validated DRAT certificate *)
   let c = fig2 () in
@@ -579,6 +645,9 @@ let () =
           qtest prop_min_distance_matches_bruteforce;
           qtest prop_sat_distance_matches_combinatorial;
           qtest prop_sat_counterexample_is_witness;
+          qtest prop_counterexample_matches_reference;
+          Alcotest.test_case "counterexample past int width" `Quick
+            test_counterexample_wide_checks;
         ] );
       ( "robustness",
         [

@@ -89,6 +89,39 @@ let test_sweep_configurations () =
       | Report.Timed_out _ | Report.Partial _ -> Alcotest.fail "timeout in sweep")
     [ (2, 2, 2); (3, 3, 3); (4, 4, 3); (5, 4, 3); (8, 4, 3); (6, 5, 4); (4, 7, 5) ]
 
+(* ---------- deadlines ---------- *)
+
+(* (4,9,7) is one below the minimal check length, so its last CEGIS step
+   is a long UNSAT proof (~48k conflicts). *)
+let long_proof = { Cegis.data_len = 4; check_len = 9; min_distance = 7; extra = [] }
+
+(* drive a fresh session to its verdict, returning the synthesizer's
+   conflicts *)
+let run_session ?deadline () =
+  let s = Cegis.create_session long_proof in
+  let rec go () =
+    match Cegis.step ?deadline s with
+    | Cegis.Progress _ -> go ()
+    | Cegis.Done _ -> Alcotest.fail "(4,9,7) must be unsatisfiable"
+    | Cegis.Exhausted -> (Cegis.session_stats s).Report.Stats.syn_conflicts
+  in
+  go ()
+
+let test_deadline_keeps_search () =
+  let unbounded = run_session () in
+  let bounded = run_session ~deadline:(Unix.gettimeofday () +. 3600.0) () in
+  Alcotest.(check bool) "long proof" true (unbounded > 20_000);
+  Alcotest.(check int) "same conflicts with a far deadline" unbounded bounded
+
+let test_deadline_adherence () =
+  let t0 = Unix.gettimeofday () in
+  let outcome = Cegis.synthesize ~timeout:0.05 long_proof in
+  let wall = Unix.gettimeofday () -. t0 in
+  (match outcome with
+  | Report.Partial _ | Report.Timed_out _ -> ()
+  | _ -> Alcotest.fail "expected the budget to cut the proof short");
+  if wall > 0.25 then Alcotest.failf "0.05 s budget took %.3f s" wall
+
 (* ---------- optimization: minimal check length (Table 1) ---------- *)
 
 let test_minimize_check_len_md3 () =
@@ -485,6 +518,12 @@ let () =
           Alcotest.test_case "SAT verifier mode" `Quick test_sat_verifier_mode;
           Alcotest.test_case "extra constraints" `Quick test_extra_constraints_respected;
           Alcotest.test_case "configuration sweep" `Slow test_sweep_configurations;
+        ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "same search as unbounded" `Slow
+            test_deadline_keeps_search;
+          Alcotest.test_case "budget adherence" `Quick test_deadline_adherence;
         ] );
       ( "optimize",
         [
