@@ -62,6 +62,41 @@ let block_candidate_constraint vars code =
     vars;
   Expr.or_ !diffs
 
+(* ---------- row-symmetry breaking ---------- *)
+
+(* Permuting the data bits (the rows of P) maps a code to an equivalent
+   code with the same minimum distance, so every code has a row-permuted
+   copy whose rows descend lexicographically, last column most
+   significant, and asking for that order loses no answer: unsat under it
+   is unsat without it.  For md >= 3 no two rows may be equal ([e_i + e_j]
+   encodes to weight [2 + d(P_i, P_j)]), so the order is strict.
+
+   Each adjacent pair [P_i >= P_(i+1)] gets one fresh variable [x_t] per
+   position, "the rows agree on their [t] most significant bits" ([x_0] is
+   true; [x_c], all bits equal, is false when strict).  With [a] the lower
+   row's bit and [b] the upper row's at position [t]:
+     x_t -> (~a \/ b),   x_t /\ a -> x_(t+1),   x_t /\ ~b -> x_(t+1). *)
+let assert_row_order syn vars ~strict =
+  let check_len = Array.length vars.(0) in
+  for i = 0 to Array.length vars - 2 do
+    let upper = vars.(i) and lower = vars.(i + 1) in
+    let fresh = Array.of_list (Fresh.make_n (check_len - 1)) in
+    let x t =
+      if t = 0 then Expr.true_
+      else if t = check_len then Expr.of_bool (not strict)
+      else fresh.(t - 1)
+    in
+    for t = 0 to check_len - 1 do
+      let col = check_len - 1 - t in
+      let a = lower.(col) and b = upper.(col) in
+      List.iter
+        (fun lits ->
+          let clause = Expr.or_ (Expr.not_ (x t) :: lits) in
+          if not (Expr.is_true clause) then Ctx.assert_ syn clause)
+        [ [ Expr.not_ a; b ]; [ Expr.not_ a; x (t + 1) ]; [ b; x (t + 1) ] ]
+    done
+  done
+
 (* ---------- resumable session: one CEGIS iteration at a time ---------- *)
 
 type session = {
@@ -126,6 +161,10 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
   in
   let entry ~row ~col = vars.(row).(col) in
   List.iter (fun build -> Ctx.assert_ syn (build ~entry)) extra;
+  (* an extra constraint may tell the rows apart (a pin, a set-bit
+     bound), so only a pure-distance problem is row-symmetric *)
+  if extra = [] then
+    assert_row_order syn vars ~strict:(problem.min_distance >= 3);
   if Telemetry.enabled () then
     Telemetry.point "cegis.session"
       ~fields:

@@ -65,7 +65,12 @@ type session
     {!Smtlite.Ctx.Interrupted} when it returns [true]; [vars] supplies the
     symbolic coefficient-matrix bits (shared across portfolio workers so
     candidates and counterexamples refer to the same expression variables —
-    fresh ones are drawn from {!Smtlite.Fresh} otherwise).
+    fresh ones are drawn from {!Smtlite.Fresh} otherwise).  A problem
+    with no [extra] constraints is row-symmetric, so the session also
+    requires the rows of P to descend lexicographically (last column most
+    significant, strictly when [min_distance >= 3]): every code has such
+    a row permutation with the same distance, so [Exhausted] still means
+    no code exists.
     @raise Invalid_argument on an empty problem or mismatched [vars]. *)
 val create_session :
   ?cex_mode:cex_mode ->

@@ -298,7 +298,7 @@ let test_run_sync_repeatable () =
   in
   let first = counts () in
   Alcotest.(check (pair int int)) "second run identical" first (counts ());
-  Alcotest.(check (pair int int)) "(10,10,5) iterations, syn conflicts" (42, 161) first;
+  Alcotest.(check (pair int int)) "(10,10,5) iterations, syn conflicts" (29, 57) first;
   Alcotest.(check int) "process-wide scope untouched" before (Expr.scope_size global)
 
 let test_portfolio_shares_scope () =

@@ -91,9 +91,16 @@ let test_sweep_configurations () =
 
 (* ---------- deadlines ---------- *)
 
-(* (4,9,7) is one below the minimal check length, so its last CEGIS step
-   is a long UNSAT proof (~48k conflicts). *)
-let long_proof = { Cegis.data_len = 4; check_len = 9; min_distance = 7; extra = [] }
+(* (4,9,7) is one below the minimal check length.  A pinned entry keeps
+   the row ordering off, so its last CEGIS step is a long UNSAT proof
+   (~40k conflicts; the ordered proof takes ~5k). *)
+let long_proof =
+  {
+    Cegis.data_len = 4;
+    check_len = 9;
+    min_distance = 7;
+    extra = [ (fun ~entry -> entry ~row:0 ~col:0) ];
+  }
 
 (* drive a fresh session to its verdict, returning the synthesizer's
    conflicts *)
@@ -121,6 +128,128 @@ let test_deadline_adherence () =
   | Report.Partial _ | Report.Timed_out _ -> ()
   | _ -> Alcotest.fail "expected the budget to cut the proof short");
   if wall > 0.25 then Alcotest.failf "0.05 s budget took %.3f s" wall
+
+(* ---------- row ordering (symmetry breaking) ---------- *)
+
+let popcount x =
+  let rec go x n = if x = 0 then n else go (x land (x - 1)) (n + 1) in
+  go x 0
+
+(* the largest minimum distance of any systematic code with [k] data and
+   [c] check bits, by enumerating all 2^(k*c) coefficient matrices (row i
+   of P is bits [i*c, (i+1)*c) of [m]) *)
+let brute_max_md ~k ~c =
+  let row_mask = (1 lsl c) - 1 in
+  let best = ref 0 in
+  for m = 0 to (1 lsl (k * c)) - 1 do
+    (* the matrix's minimum weight, cut short once it cannot beat [best] *)
+    let rec min_weight d acc =
+      if d = 1 lsl k || acc <= !best then acc
+      else begin
+        let check = ref 0 in
+        for i = 0 to k - 1 do
+          if (d lsr i) land 1 = 1 then
+            check := !check lxor ((m lsr (i * c)) land row_mask)
+        done;
+        min_weight (d + 1) (min acc (popcount d + popcount !check))
+      end
+    in
+    best := max !best (min_weight 1 max_int)
+  done;
+  !best
+
+(* drive a session to its verdict: [Some code] on [Done], [None] once the
+   synthesizer is exhausted *)
+let session_verdict problem =
+  let s = Cegis.create_session problem in
+  let rec go () =
+    match Cegis.step s with
+    | Cegis.Done code -> Some code
+    | Cegis.Exhausted -> None
+    | Cegis.Progress _ -> go ()
+  in
+  go ()
+
+(* an always-true extra constraint turns the row ordering off and changes
+   nothing else *)
+let unordered problem =
+  { problem with Cegis.extra = [ (fun ~entry:_ -> Smtlite.Expr.true_) ] }
+
+let check_verdict ~k ~c ~m verdict =
+  match verdict with
+  | None -> ()
+  | Some code ->
+      let name = Printf.sprintf "(%d,%d,%d)" k c m in
+      Alcotest.(check int) (name ^ " data len") k (Hamming.Code.data_len code);
+      Alcotest.(check int) (name ^ " check len") c (Hamming.Code.check_len code);
+      Alcotest.(check bool) (name ^ " md") true (md code >= m)
+
+(* every answer of the ordered search is the brute-force answer, for every
+   distance target up to one past the Singleton bound *)
+let test_row_order_matches_bruteforce () =
+  for k = 1 to 4 do
+    for c = 1 to 5 do
+      let best = brute_max_md ~k ~c in
+      for m = 2 to c + 2 do
+        let verdict =
+          session_verdict
+            { Cegis.data_len = k; check_len = c; min_distance = m; extra = [] }
+        in
+        check_verdict ~k ~c ~m verdict;
+        Alcotest.(check bool)
+          (Printf.sprintf "(%d,%d,%d) exists iff md %d <= %d" k c m m best)
+          (m <= best) (verdict <> None)
+      done
+    done
+  done
+
+let test_row_order_matches_unordered () =
+  for k = 1 to 6 do
+    for c = 1 to 6 do
+      for m = 2 to c + 2 do
+        let problem =
+          { Cegis.data_len = k; check_len = c; min_distance = m; extra = [] }
+        in
+        let ordered = session_verdict problem in
+        let plain = session_verdict (unordered problem) in
+        check_verdict ~k ~c ~m ordered;
+        check_verdict ~k ~c ~m plain;
+        Alcotest.(check bool)
+          (Printf.sprintf "(%d,%d,%d) same verdict with and without the order"
+             k c m)
+          (plain <> None) (ordered <> None)
+      done
+    done
+  done
+
+(* Each pin pair puts row 0 out of order with row 1 for one lexicographic
+   row order (first or last column most significant), so the spec only
+   synthesizes because a pinned problem skips the ordering. *)
+let test_pins_keep_order_off () =
+  List.iter
+    (fun pins ->
+      let src =
+        String.concat " && "
+          ("len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) = 3 && md(G[0]) = 3"
+          :: List.map
+               (fun (r, col, v) -> Printf.sprintf "G[0](%d, %d) = %d" r col v)
+               pins)
+      in
+      List.iter
+        (fun jobs ->
+          match Driver.run ~timeout:60.0 ?jobs (Spec.Parse.prop src) with
+          | Driver.Codes ([ code ], _) ->
+              Alcotest.(check int) (src ^ " md") 3 (md code);
+              List.iter
+                (fun (r, col, v) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: G(%d, %d)" src r col)
+                    (v = 1)
+                    (Gf2.Matrix.get (Hamming.Code.generator code) r col))
+                pins
+          | _ -> Alcotest.failf "%s did not synthesize" src)
+        [ None; Some 2 ])
+    [ [ (0, 4, 1); (1, 4, 0) ]; [ (0, 6, 0); (1, 6, 1) ] ]
 
 (* ---------- optimization: minimal check length (Table 1) ---------- *)
 
@@ -152,6 +281,29 @@ let test_minimize_check_len_md4 () =
       Alcotest.(check int) "md=4 true optimum" 4 r.Optimize.check_len;
       Alcotest.(check int) "exact md" 4 (md r.Optimize.code)
   | _ -> Alcotest.fail "expected a generator"
+
+(* Griesmer bound: a linear [n, k, d] code has n >= sum_(i<k) ceil(d / 2^i) *)
+let griesmer ~k ~d =
+  List.fold_left ( + ) 0 (List.init k (fun i -> (d + (1 lsl i) - 1) lsr i))
+
+(* Table 1 at k = 4, md 3-8: each minimal check length is proved by an
+   unsat probe one below it, and equals the Griesmer bound *)
+let test_table1_minimality () =
+  List.iter
+    (fun (m, expected) ->
+      match
+        Optimize.minimize_check_len ~timeout:60.0 ~data_len:4 ~md:m ~check_lo:1
+          ~check_hi:16 ()
+      with
+      | Report.Synthesized (r, _) ->
+          let c = r.Optimize.check_len in
+          Alcotest.(check int) (Printf.sprintf "md %d minimal check bits" m) expected c;
+          Alcotest.(check bool) (Printf.sprintf "md %d generator md" m) true
+            (md r.Optimize.code >= m);
+          Alcotest.(check bool) (Printf.sprintf "md %d meets Griesmer" m) true
+            (4 + c >= griesmer ~k:4 ~d:m)
+      | _ -> Alcotest.failf "md %d: expected a generator" m)
+    [ (3, 3); (4, 4); (5, 7); (6, 8); (7, 10); (8, 11) ]
 
 (* ---------- optimization: minimal set bits (§4.4) ---------- *)
 
@@ -525,8 +677,19 @@ let () =
             test_deadline_keeps_search;
           Alcotest.test_case "budget adherence" `Quick test_deadline_adherence;
         ] );
+      ( "row-order",
+        [
+          Alcotest.test_case "matches brute force (k <= 4, c <= 5)" `Quick
+            test_row_order_matches_bruteforce;
+          Alcotest.test_case "matches the unordered search (k, c <= 6)" `Quick
+            test_row_order_matches_unordered;
+          Alcotest.test_case "pins keep the ordering off" `Quick
+            test_pins_keep_order_off;
+        ] );
       ( "optimize",
         [
+          Alcotest.test_case "Table 1 minimality, k = 4, md 3-8" `Quick
+            test_table1_minimality;
           Alcotest.test_case "minimal check len md 3" `Quick test_minimize_check_len_md3;
           Alcotest.test_case "minimal check len md 2" `Quick test_minimize_check_len_md2;
           Alcotest.test_case "minimal check len md 4" `Slow test_minimize_check_len_md4;
