@@ -42,7 +42,9 @@ let time_it f =
    dumped as one JSON object at exit, so CI and EXPERIMENTS.md can diff
    runs without scraping the human tables ([fecsynth trace diff] consumes
    these files; `make bench-gate` turns that diff into a regression gate).
-   Default path BENCH_pr6.json; override with FEC_BENCH_OUT. *)
+   The path is FEC_BENCH_OUT, by default a scratch file in the temporary
+   directory (never a committed baseline); the records are labelled with
+   the file's name, so BENCH_pr16.json says "pr16". *)
 let bench_records :
     (string * string * float * int * int * (string * float) list) list ref =
   ref []
@@ -53,9 +55,17 @@ let record_instance ?(extra = []) ~experiment ~instance ~wall_s ~iterations
     (experiment, instance, wall_s, iterations, conflicts, extra)
     :: !bench_records
 
+let bench_label path =
+  let base = Filename.remove_extension (Filename.basename path) in
+  let prefix = "BENCH_" in
+  if String.starts_with ~prefix base then
+    String.sub base (String.length prefix) (String.length base - String.length prefix)
+  else base
+
 let write_bench_json () =
   let path =
-    Option.value (Sys.getenv_opt "FEC_BENCH_OUT") ~default:"BENCH_pr6.json"
+    Option.value (Sys.getenv_opt "FEC_BENCH_OUT")
+      ~default:(Filename.concat (Filename.get_temp_dir_name ()) "fecsynth-bench.json")
   in
   let module J = Telemetry.Json in
   let rows =
@@ -70,7 +80,8 @@ let write_bench_json () =
   in
   let j =
     J.Obj
-      [ ("pr", J.Str "pr6"); ("scale", J.Int scale); ("instances", J.List rows) ]
+      [ ("pr", J.Str (bench_label path)); ("scale", J.Int scale);
+        ("instances", J.List rows) ]
   in
   let oc = open_out path in
   output_string oc (J.to_string j);

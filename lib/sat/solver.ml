@@ -84,6 +84,13 @@ type t = {
   trail_lim : int Vec.t; (* trail size at each decision level *)
   mutable qhead : int;
   mutable okay : bool;
+  mutable kept : Lit.t list option;
+      (* assumptions of the last [Sat] whose trail is still kept, or None *)
+  mutable late_units : (int * int * int) list;
+      (* (literal, tagged reason, level): added clauses that are unit at
+         [level] but satisfied by their literal from a higher level *)
+  mutable late_ready : bool; (* a backtrack may have freed a late unit *)
+  mutable resume_min_trail : int; (* shortest trail a [Sat] keeps *)
   mutable var_inc : float;
   mutable max_learnts : float;
   mutable reduce_limit : int option; (* test knob: pin max_learnts *)
@@ -119,6 +126,14 @@ type t = {
 }
 
 let var_decay = 1.0 /. 0.95
+
+(* Shortest trail a [Sat] keeps for the next solve to resume.
+   Re-deriving a short assignment costs next to nothing, while a
+   repair's candidate sits next to the last one, which on small specs
+   costs conflicts and CEGIS iterations; from about 2000 literals on,
+   the re-derivation a repair saves dominates.  Chosen by measurement
+   across seeds of the synth-mix specs. *)
+let default_resume_min_trail = 2000
 
 (* ---------- arena primitives ---------- *)
 
@@ -164,6 +179,10 @@ let create () =
     trail_lim = Vec.create ();
     qhead = 0;
     okay = true;
+    kept = None;
+    late_units = [];
+    late_ready = false;
+    resume_min_trail = default_resume_min_trail;
     var_inc = 1.0;
     max_learnts = 0.0;
     reduce_limit = None;
@@ -425,32 +444,92 @@ let attach_binary s a b =
 let lit_value s l = Array.unsafe_get s.vals l
 let decision_level s = Vec.size s.trail_lim
 
-(* Assign literal [l] true with a tagged reason (-1 = none). *)
-let enqueue s l reason =
+(* Assign literal [l] true at level [lvl] with a tagged reason (-1 =
+   none).  [lvl] is the literal's true level: the decision level for a
+   decision, the highest level among the reason's other literals for an
+   implication.  Below the current decision level that makes the trail
+   out of order (an implied literal follows literals of higher levels). *)
+let enqueue s l lvl reason =
   let v = l lsr 1 in
   Array.unsafe_set s.vals l 1;
   Array.unsafe_set s.vals (l lxor 1) (-1);
-  s.level.(v) <- decision_level s;
+  s.level.(v) <- lvl;
   s.reason.(v) <- reason;
   s.trail.(s.trail_size) <- l;
   s.trail_size <- s.trail_size + 1
 
+(* Undo every assignment above level [lvl].  An out-of-order trail can
+   hold literals of level <= [lvl] past the level's trail bound; they stay
+   assigned, keep their order, and are queued again so the clauses they
+   falsify are re-examined against the now-smaller assignment. *)
 let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = Vec.get s.trail_lim lvl in
+    let kept = ref 0 in
     for i = s.trail_size - 1 downto bound do
       let l = s.trail.(i) in
       let v = l lsr 1 in
-      s.polarity.(v) <- l land 1 = 0;
-      s.vals.(l) <- 0;
-      s.vals.(l lxor 1) <- 0;
-      s.reason.(v) <- -1;
-      heap_insert s v
+      if s.level.(v) > lvl then begin
+        s.polarity.(v) <- l land 1 = 0;
+        s.vals.(l) <- 0;
+        s.vals.(l lxor 1) <- 0;
+        s.reason.(v) <- -1;
+        heap_insert s v
+      end
+      else incr kept
     done;
-    s.trail_size <- bound;
+    if !kept > 0 then begin
+      let j = ref bound in
+      for i = bound to s.trail_size - 1 do
+        let l = s.trail.(i) in
+        if s.vals.(l) = 1 then begin
+          s.trail.(!j) <- l;
+          incr j
+        end
+      done
+    end;
+    s.trail_size <- bound + !kept;
     Vec.shrink s.trail_lim lvl;
-    s.qhead <- s.trail_size
+    s.qhead <- min s.qhead bound;
+    (* a late unit whose level went is an ordinary clause again; the
+       others may have lost their satisfying literal, which the next
+       [propagate] implies again *)
+    if s.late_units <> [] then begin
+      s.late_units <- List.filter (fun (_, _, ul) -> ul <= lvl) s.late_units;
+      s.late_ready <- s.late_units <> []
+    end
   end
+
+(* Imply again, at its true level, each late unit whose satisfying
+   literal a backtrack took away, and drop those now satisfied from a
+   level no higher than their own.  Runs first in [propagate], so the
+   enqueue happens where the caller expects propagation; a late unit
+   found false in the meantime is a conflict (cref, or the scratch
+   clause for a binary), returned like [propagate]'s. *)
+let flush_late s =
+  s.late_ready <- false;
+  let confl = ref (-1) in
+  s.late_units <-
+    List.filter
+      (fun (l, reason, ul) ->
+        if !confl >= 0 then true
+        else
+          match Array.unsafe_get s.vals l with
+          | 0 ->
+              enqueue s l ul reason;
+              false
+          | 1 -> s.level.(l lsr 1) > ul
+          | _ ->
+              (if reason land 1 = 0 then confl := reason lsr 1
+               else begin
+                 ba_set s.arena (cref_scratch + 2) l;
+                 ba_set s.arena (cref_scratch + 3) (reason lsr 1);
+                 confl := cref_scratch
+               end);
+              false)
+      (List.rev s.late_units);
+  if !confl >= 0 && s.late_units <> [] then s.late_ready <- true;
+  !confl
 
 (* ---------- activities ---------- *)
 
@@ -494,14 +573,25 @@ let proof_delete_clause s cr = proof_delete s (clause_lits s cr)
 (* ---------- propagation ---------- *)
 
 (* Returns the cref of a conflicting clause, or -1.  Binary conflicts
-   are materialized in the reserved scratch clause at cref 0. *)
+   are materialized in the reserved scratch clause at cref 0.
+
+   Implied literals get their true level: a binary implication inherits
+   the level of the literal that fired it; a clause implication the
+   highest level among its false literals.  That is the current level
+   whenever the firing literal is at the current level; only a literal
+   queued below it (an out-of-order trail) pays for the scan, and the
+   highest-level false literal then moves into the second watch, so
+   backtracking past its level frees the watch before the clause can
+   turn unit unnoticed. *)
 let propagate s =
-  let confl = ref (-1) in
+  let confl = ref (if s.late_ready then flush_late s else -1) in
   let vals = s.vals in
+  let dl = decision_level s in
   while !confl < 0 && s.qhead < s.trail_size do
     let p = Array.unsafe_get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
+    let lp = Array.unsafe_get s.level (p lsr 1) in
     (* binary implications first: cheapest, and finding conflicts early
        keeps the expensive watcher scan short *)
     let bd = Array.unsafe_get s.bin_data p in
@@ -517,7 +607,7 @@ let propagate s =
         ba_set a (cref_scratch + 3) (p lxor 1);
         confl := cref_scratch
       end
-      else if v = 0 then enqueue s q (((p lxor 1) lsl 1) lor 1);
+      else if v = 0 then enqueue s q lp (((p lxor 1) lsl 1) lor 1);
       incr i
     done;
     if !confl < 0 then begin
@@ -574,23 +664,45 @@ let propagate s =
                 push2 s.w_data s.w_size (lk lxor 1) cr first;
                 i := !i + 2 (* moved to another list *)
               end
-              else begin
-                (* clause is unit or conflicting: keep the watcher *)
+              else if Array.unsafe_get vals first < 0 then begin
+                (* conflict: keep the watcher, copy the remaining ones
+                   and bail out *)
                 Array.unsafe_set wd !j cr;
                 Array.unsafe_set wd (!j + 1) first;
                 j := !j + 2;
                 i := !i + 2;
-                if Array.unsafe_get vals first < 0 then begin
-                  (* conflict: copy remaining watchers and bail out *)
-                  while !i < wn do
-                    Array.unsafe_set wd !j (Array.unsafe_get wd !i);
-                    Array.unsafe_set wd (!j + 1) (Array.unsafe_get wd (!i + 1));
-                    i := !i + 2;
-                    j := !j + 2
+                while !i < wn do
+                  Array.unsafe_set wd !j (Array.unsafe_get wd !i);
+                  Array.unsafe_set wd (!j + 1) (Array.unsafe_get wd (!i + 1));
+                  i := !i + 2;
+                  j := !j + 2
+                done;
+                confl := cr
+              end
+              else begin
+                (* unit: find the implication's level *)
+                let hi = ref 1 and hl = ref lp in
+                if lp < dl then
+                  for k = 2 to size - 1 do
+                    let lk = Array.unsafe_get s.level (ba_get a (cr + 2 + k) lsr 1) in
+                    if lk > !hl then begin
+                      hl := lk;
+                      hi := k
+                    end
                   done;
-                  confl := cr
+                if !hi = 1 then begin
+                  Array.unsafe_set wd !j cr;
+                  Array.unsafe_set wd (!j + 1) first;
+                  j := !j + 2
                 end
-                else enqueue s first (cr lsl 1)
+                else begin
+                  let lk = ba_get a (cr + 2 + !hi) in
+                  ba_set a (cr + 3) lk;
+                  ba_set a (cr + 2 + !hi) np;
+                  push2 s.w_data s.w_size (lk lxor 1) cr first
+                end;
+                i := !i + 2;
+                enqueue s first !hl (cr lsl 1)
               end
             end
           end
@@ -655,6 +767,11 @@ let compute_lbd s lits =
     lits;
   !lbd
 
+(* First-UIP analysis of a conflict at the current decision level (the
+   caller backtracks to the conflict level first).  Seen literals of
+   lower levels go to the learnt clause; on an out-of-order trail they
+   can sit among the current level's literals, so the trail walk skips
+   them instead of counting them off the path. *)
 let analyze s conflict =
   let out = Vec.create () in
   Vec.push out 0;
@@ -663,12 +780,13 @@ let analyze s conflict =
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
   let continue_loop = ref true in
+  let dl = decision_level s in
   let expand q =
     let v = q lsr 1 in
     if (not s.seen.(v)) && s.level.(v) > 0 then begin
       s.seen.(v) <- true;
       var_bump s v;
-      if s.level.(v) >= decision_level s then incr path else Vec.push out q
+      if s.level.(v) >= dl then incr path else Vec.push out q
     end
   in
   (* the conflict clause contributes all its literals *)
@@ -679,7 +797,10 @@ let analyze s conflict =
   done;
   while !continue_loop do
     (* find next literal on the trail to expand *)
-    while not s.seen.(s.trail.(!index) lsr 1) do
+    while
+      let v = s.trail.(!index) lsr 1 in
+      (not s.seen.(v)) || s.level.(v) < dl
+    do
       decr index
     done;
     p := s.trail.(!index);
@@ -821,6 +942,15 @@ let compact s =
     done;
     s.w_size.(p) <- !j
   done;
+  s.late_units <-
+    List.map
+      (fun ((l, r, ul) as u) ->
+        if r >= 0 && r land 1 = 0 then begin
+          let h = ba_get a (r lsr 1) in
+          (l, (if h < 0 then -2 - h else relocate (r lsr 1)) lsl 1, ul)
+        end
+        else u)
+      s.late_units;
   (* reasons on the trail *)
   for i = 0 to s.trail_size - 1 do
     let v = s.trail.(i) lsr 1 in
@@ -860,6 +990,63 @@ let store_clause s lits ~learnt ~lbd =
       cr
   | _ -> invalid_arg "Solver.store_clause: clause too short"
 
+(* A one-literal clause holds at level 0.  It is enqueued out of order
+   when the trail is deeper (after backtracking below the literal's
+   level if it is assigned) and propagated by the next search; at level
+   0 it is propagated at once, so [ok] reports a level-0 contradiction
+   immediately. *)
+let add_unit s l =
+  if lit_value s l <> 0 then cancel_until s (s.level.(l lsr 1) - 1);
+  enqueue s l 0 (-1);
+  if decision_level s = 0 && propagate s >= 0 then begin
+    proof_empty s;
+    s.okay <- false
+  end
+
+(* Attach a clause of two or more literals to the live trail.  The
+   literals are ordered non-false first, then false by decreasing level,
+   and the first two are watched.  A clause that is unit under the trail
+   implies its literal at the level of its highest false literal; one
+   whose only true literal sits above that level becomes a late unit,
+   implied again at its true level once a backtrack unassigns the
+   literal (see [flush_late]).  A falsified clause backtracks
+   to its second-highest level, where it becomes unit, or to just below
+   its highest level when the two highest share it. *)
+let add_long s lits =
+  let level_of l = s.level.(l lsr 1) in
+  let key l = if lit_value s l >= 0 then max_int else level_of l in
+  let lits = Array.of_list (List.stable_sort (fun x y -> compare (key y) (key x)) lits) in
+  let l0 = lits.(0) and l1 = lits.(1) in
+  (* store the clause; returns the tagged reason it gives [l0] *)
+  let store () =
+    let cr = store_clause s lits ~learnt:false ~lbd:0 in
+    if cr < 0 then (l1 lsl 1) lor 1 else cr lsl 1
+  in
+  if lit_value s l1 >= 0 then ignore (store ())
+  else begin
+    let lv1 = level_of l1 in
+    match lit_value s l0 with
+    | 0 ->
+        let reason = store () in
+        enqueue s l0 lv1 reason
+    | 1 ->
+        let reason = store () in
+        if level_of l0 > lv1 then s.late_units <- (l0, reason, lv1) :: s.late_units
+    | _ ->
+        if level_of l0 > lv1 then begin
+          cancel_until s lv1;
+          let reason = store () in
+          enqueue s l0 lv1 reason
+        end
+        else begin
+          cancel_until s (level_of l0 - 1);
+          ignore (store ())
+        end
+  end
+
+(* Clauses are added against the live trail: after [Sat] the assignment
+   may stay, and the next [solve] resumes from it (see [solve_body]).
+   Only level-0 values simplify a clause; deeper ones are not facts. *)
 let add_clause s lits =
   List.iter
     (fun l ->
@@ -869,27 +1056,21 @@ let add_clause s lits =
     lits;
   if s.okay then begin
     if s.proof_log <> None then s.originals <- lits :: s.originals;
-    cancel_until s 0;
     s.model_valid <- false;
-    (* simplify: remove duplicates and false literals, detect tautology *)
+    (* simplify: remove duplicates and level-0 false literals, detect
+       tautology *)
+    let fixed l v = lit_value s l = v && s.level.(l lsr 1) = 0 in
     let lits = List.sort_uniq Int.compare (List.map Lit.code lits) in
     let tautology =
-      List.exists (fun l -> List.mem (l lxor 1) lits || lit_value s l = 1) lits
+      List.exists (fun l -> List.mem (l lxor 1) lits || fixed l 1) lits
     in
     if not tautology then begin
-      let lits = List.filter (fun l -> lit_value s l <> -1) lits in
-      match lits with
+      match List.filter (fun l -> not (fixed l (-1))) lits with
       | [] ->
           proof_empty s;
           s.okay <- false
-      | [ l ] ->
-          enqueue s l (-1);
-          if propagate s >= 0 then begin
-            proof_empty s;
-            s.okay <- false
-          end
-      | _ ->
-          ignore (store_clause s (Array.of_list lits) ~learnt:false ~lbd:0)
+      | [ l ] -> add_unit s l
+      | lits -> add_long s lits
     end
   end
 
@@ -1163,7 +1344,7 @@ let subsumption_pass s =
                   proof_empty s;
                   unsat := true
               | _ ->
-                  enqueue s l (-1);
+                  enqueue s l 0 (-1);
                   if propagate s >= 0 then begin
                     proof_empty s;
                     unsat := true
@@ -1185,7 +1366,15 @@ let maybe_inprocess s =
   | Some interval ->
       if s.n_conflicts - s.conflicts_at_inprocess >= interval then begin
         s.conflicts_at_inprocess <- s.n_conflicts;
-        subsumption_pass s
+        (* the pass wants level 0 at a propagation fixpoint; a resumed
+           trail and out-of-order level-0 units give up neither *)
+        cancel_until s 0;
+        if propagate s >= 0 then begin
+          proof_empty s;
+          s.okay <- false;
+          false
+        end
+        else subsumption_pass s
       end
       else true
 
@@ -1251,13 +1440,55 @@ let record_learnt s lits back_level =
   let lbd = if Array.length lits >= 3 then compute_lbd s lits else 0 in
   cancel_until s back_level;
   match Array.length lits with
-  | 1 -> enqueue s lits.(0) (-1)
+  | 1 -> enqueue s lits.(0) 0 (-1)
   | 2 ->
       attach_binary s (Lit.of_code lits.(0)) (Lit.of_code lits.(1));
-      enqueue s lits.(0) ((lits.(1) lsl 1) lor 1)
+      enqueue s lits.(0) back_level ((lits.(1) lsl 1) lor 1)
   | _ ->
       let cr = store_clause s lits ~learnt:true ~lbd in
-      enqueue s lits.(0) (cr lsl 1)
+      enqueue s lits.(0) back_level (cr lsl 1)
+
+(* Remove clause [cr]'s watcher from the watch list of [~l]. *)
+let unwatch s l cr =
+  let idx = l lxor 1 in
+  let wd = s.w_data.(idx) and wn = s.w_size.(idx) in
+  let i = ref 0 in
+  while wd.(!i) <> cr do
+    i := !i + 2
+  done;
+  Array.blit wd (!i + 2) wd !i (wn - !i - 2);
+  s.w_size.(idx) <- wn - 2
+
+(* The level a conflict belongs to: the highest level among the
+   falsified clause's literals.  On an out-of-order trail it can lie
+   below the current level; the two highest-level literals are then
+   moved into the watches, so the clause is watched by literals that the
+   backjump after analysis unassigns.  Binary conflicts need no moves:
+   both literals of a binary are always watched. *)
+let conflict_level s confl =
+  let a = s.arena in
+  let level_at k = s.level.(ba_get a (confl + 2 + k) lsr 1) in
+  let dl = decision_level s in
+  if confl = cref_scratch then max (level_at 0) (level_at 1)
+  else if level_at 0 = dl && level_at 1 = dl then dl
+  else begin
+    let size = header_size (ba_get a confl) in
+    for i = 0 to 1 do
+      let best = ref i in
+      for k = i + 1 to size - 1 do
+        if level_at k > level_at !best then best := k
+      done;
+      if !best <> i then begin
+        let li = ba_get a (confl + 2 + i) and lb = ba_get a (confl + 2 + !best) in
+        if !best > 1 then unwatch s li confl;
+        ba_set a (confl + 2 + i) lb;
+        ba_set a (confl + 2 + !best) li;
+        if !best > 1 then
+          push2 s.w_data s.w_size (lb lxor 1) confl (ba_get a (confl + 3 - i))
+      end
+    done;
+    level_at 0
+  end
 
 let search s ~assumptions ~conflict_limit =
   let conflicts = ref 0 in
@@ -1278,12 +1509,14 @@ let search s ~assumptions ~conflict_limit =
         s.n_conflicts <- s.n_conflicts + 1;
         incr conflicts;
         if s.n_conflicts land 63 = 0 then check_interrupt s;
-        if decision_level s = 0 then begin
+        let level = conflict_level s confl in
+        if level = 0 then begin
           proof_empty s;
           s.okay <- false;
           outcome := Some Out_unsat
         end
         else begin
+          cancel_until s level;
           let lits, back_level =
             if not s.timing then analyze s confl
             else begin
@@ -1343,7 +1576,7 @@ let search s ~assumptions ~conflict_limit =
               s.n_decisions <- s.n_decisions + 1;
               if s.n_decisions land 1023 = 0 then check_interrupt s;
               Vec.push s.trail_lim s.trail_size;
-              enqueue s l (-1)
+              enqueue s l (decision_level s) (-1)
         end
   done;
   match !outcome with Some o -> o | None -> assert false
@@ -1358,12 +1591,27 @@ let probe_hook : (string -> unit) option ref = ref None
 let set_probe f = probe_hook := f
 let probe site = match !probe_hook with None -> () | Some f -> f site
 
+(* Conflicts a resumed solve may spend repairing the kept assignment
+   before it restarts from level 0 on the ordinary Luby schedule.
+   Chosen by measurement, like the Luby unit 100: an unbounded repair
+   wanders on small specs, too small a one gives up repairs that were
+   nearly done. *)
+let repair_budget = 32
+
+(* A [Sat] keeps its trail when it is long enough to be worth keeping
+   ([resume_min_trail]).  The next solve resumes from it when its
+   assumptions are the same (clauses added in between have already been
+   attached against it); any other solve starts from level 0.  A short
+   trail, [Unsat] and interrupts leave the solver at level 0, exactly as
+   a solver that never kept a trail. *)
 let solve_body ?(assumptions = []) s =
   probe "sat.solve";
   s.model_valid <- false;
   if not s.okay then Unsat
   else begin
-    cancel_until s 0;
+    let resume = s.kept = Some assumptions in
+    s.kept <- None;
+    if not resume then cancel_until s 0;
     (match s.reduce_limit with
     | Some n -> s.max_learnts <- float_of_int n
     | None ->
@@ -1371,16 +1619,21 @@ let solve_body ?(assumptions = []) s =
           max 1000.0 (float_of_int (Vec.size s.clauses) *. 0.5));
     let result = ref None in
     let restart_i = ref 0 in
+    let repairing = ref resume in
     (try
        while !result = None do
          if not (maybe_inprocess s) then result := Some Unsat
          else begin
-           let limit = int_of_float (luby 2.0 !restart_i *. 100.0) in
-           incr restart_i;
+           let limit =
+             if !repairing then repair_budget
+             else int_of_float (luby 2.0 !restart_i *. 100.0)
+           in
+           if !repairing then repairing := false else incr restart_i;
            match search s ~assumptions ~conflict_limit:limit with
            | Out_sat ->
                s.model_ <- Array.init s.nvars (fun v -> s.vals.(2 * v) = 1);
                s.model_valid <- true;
+               if s.trail_size >= s.resume_min_trail then s.kept <- Some assumptions;
                result := Some Sat
            | Out_unsat -> result := Some Unsat
            | Out_restart -> ()
@@ -1389,7 +1642,7 @@ let solve_body ?(assumptions = []) s =
      with Interrupted ->
        cancel_until s 0;
        raise Interrupted);
-    cancel_until s 0;
+    if s.kept = None then cancel_until s 0;
     match !result with Some r -> r | None -> assert false
   end
 
@@ -1488,6 +1741,7 @@ let set_interrupt s f = s.interrupt <- f
 let interrupt s = s.interrupt
 let set_reduce_limit s n = s.reduce_limit <- n
 let set_inprocess_interval s i = s.inprocess_interval <- i
+let set_resume_min_trail s n = s.resume_min_trail <- n
 
 let set_seed s seed =
   s.rng <- Some (Int64.of_int seed);
@@ -1526,6 +1780,54 @@ let iter_clauses s f =
   in
   emit s.clauses;
   emit s.learnts
+
+(* Trail invariants: a variable is on the trail once, and exactly when
+   it is assigned; an implied literal's level is the highest level among
+   its reason's other literals, which are false and earlier on the
+   trail; a reasonless literal above level 0 is its level's decision. *)
+let check_trail s =
+  let exception Bad of string in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let pos = Array.make s.nvars (-1) in
+  try
+    for i = 0 to s.trail_size - 1 do
+      let l = s.trail.(i) in
+      let v = l lsr 1 in
+      if pos.(v) >= 0 then
+        fail "var %d on the trail twice (positions %d and %d)" v pos.(v) i;
+      if lit_value s l <> 1 then fail "trail literal %d at %d is not true" l i;
+      pos.(v) <- i
+    done;
+    for v = 0 to s.nvars - 1 do
+      if s.vals.(2 * v) <> 0 && pos.(v) < 0 then
+        fail "var %d is assigned but not on the trail" v
+    done;
+    let dl = decision_level s in
+    for i = 0 to s.trail_size - 1 do
+      let l = s.trail.(i) in
+      let lv = s.level.(l lsr 1) and r = s.reason.(l lsr 1) in
+      if lv > dl then fail "literal %d at level %d above decision level %d" l lv dl;
+      if r < 0 then begin
+        if lv > 0 && Vec.get s.trail_lim (lv - 1) <> i then
+          fail "reasonless literal %d at level %d is not its level's decision" l lv
+      end
+      else begin
+        if r land 1 = 0 && ba_get s.arena ((r lsr 1) + 2) <> l then
+          fail "literal %d: its reason clause %d does not imply it" l (r lsr 1);
+        let hi = ref 0 in
+        reason_iter s r ~f:(fun q ->
+            if lit_value s q <> -1 then
+              fail "literal %d: reason literal %d is not false" l q;
+            if pos.(q lsr 1) >= i then
+              fail "literal %d: reason literal %d is not earlier on the trail" l q;
+            hi := max !hi s.level.(q lsr 1));
+        if !hi <> lv then
+          fail "implied literal %d at level %d, its reason's highest level is %d"
+            l lv !hi
+      end
+    done;
+    Ok ()
+  with Bad m -> Error m
 
 let self_check s =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -1571,18 +1873,23 @@ let self_check s =
           in
           if c0 <> 1 || c1 <> 1 then
             fail "clause %d watch counts %d/%d (want 1/1)" cr c0 c1
-          else if not (s.okay && s.qhead = s.trail_size) then Ok ()
+          else if not (s.okay && s.qhead = s.trail_size && not s.late_ready)
+          then Ok ()
           else begin
-            (* semantic: at a propagation fixpoint a false watch forces
-               the other watch true (otherwise a unit/conflict was
-               missed).  Only meaningful while the solver is still
-               consistent — a level-0 conflict legitimately abandons
-               propagation mid-queue. *)
+            (* semantic: at a propagation fixpoint (nothing queued, no
+               late unit waiting) a false watch means the clause is
+               satisfied — by the other watch, or by the blocking
+               literal that let propagation skip it (otherwise a
+               unit/conflict was missed).  Only meaningful while the
+               solver is still consistent — a level-0 conflict
+               legitimately abandons propagation mid-queue. *)
             let v0 = lit_value s l0 and v1 = lit_value s l1 in
-            if v0 = -1 && v1 <> 1 then
-              fail "clause %d: watch %d false but %d not true" cr l0 l1
-            else if v1 = -1 && v0 <> 1 then
-              fail "clause %d: watch %d false but %d not true" cr l1 l0
+            let satisfied () =
+              List.exists (fun l -> lit_value s l = 1) (Array.to_list (clause_lits s cr))
+            in
+            if (v0 = -1 || v1 = -1) && not (satisfied ()) then
+              fail "clause %d: watch %d false but the clause is not satisfied" cr
+                (if v0 = -1 then l0 else l1)
             else Ok ()
           end
         end
@@ -1627,7 +1934,7 @@ let self_check s =
               | Ok () ->
                   (* value array consistency *)
                   let rec vals_ok v =
-                    if v >= s.nvars then Ok ()
+                    if v >= s.nvars then check_trail s
                     else if s.vals.(2 * v) <> -s.vals.((2 * v) + 1) then
                       fail "var %d: inconsistent literal values" v
                     else vals_ok (v + 1)

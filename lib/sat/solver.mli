@@ -60,7 +60,10 @@ val ok : t -> bool
 
 (** [solve ?assumptions s] decides satisfiability of the asserted clauses
     under the given assumption literals (default none).  Returns [Sat] with
-    a model queryable via {!value} / {!model}, or [Unsat]. *)
+    a model queryable via {!value} / {!model}, or [Unsat].  After [Sat] the
+    solver keeps its assignment (see {!set_resume_min_trail}); clauses
+    added next are attached against it, and the next solve with the same
+    assumptions repairs it instead of searching from scratch. *)
 val solve : ?assumptions:Lit.t list -> t -> result
 
 (** [value s l] is the truth value of [l] in the last model.
@@ -157,6 +160,14 @@ val set_reduce_limit : t -> int option -> unit
     [n] conflicts; [None] disables inprocessing entirely. *)
 val set_inprocess_interval : t -> int option -> unit
 
+(** [set_resume_min_trail s n]: a [Sat] keeps its assignment for the
+    next solve (with the same assumptions) to resume only when it holds
+    at least [n] literals; a shorter one is dropped, and the solver
+    behaves exactly as one that never keeps a trail.  The default (2000)
+    leaves small problems on that from-scratch path; tests set 0 to
+    drive every solve through the kept trail. *)
+val set_resume_min_trail : t -> int -> unit
+
 (** [compact s] forces an arena compaction: live clauses are copied into
     a fresh arena and every watcher and reason is remapped.  Safe at any
     decision level; a no-op semantically.  Compaction also runs
@@ -170,8 +181,12 @@ val iter_clauses : t -> (Lit.t list -> unit) -> unit
 
 (** [self_check s] verifies internal invariants: every live clause is
     watched exactly once under each of its first two literals, a
-    falsified watch implies the other watch true (valid at propagation
-    fixpoints, e.g. after [solve] returns), binary-store symmetry, and
-    literal-value consistency.  [Error msg] describes the first
-    violation found. *)
+    falsified watch implies the clause is satisfied (valid at
+    propagation fixpoints, e.g. after [solve] or [add_clause] returns
+    with nothing queued), binary-store symmetry, literal-value
+    consistency, and the trail: each variable on it once and exactly
+    when assigned, each implied literal at the highest level among its
+    reason's other literals (false, and earlier on the trail), each
+    reasonless literal above level 0 its level's decision.
+    [Error msg] describes the first violation found. *)
 val self_check : t -> (unit, string) Stdlib.result

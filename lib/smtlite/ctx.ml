@@ -118,7 +118,9 @@ let pop ctx =
       ctx.selectors <- rest
 
 (* Assert an expression at the current level.  Top-level conjunctions are
-   split; a top-level disjunction of simple literals becomes one clause. *)
+   split; every other conjunct, a top-level disjunction included, gets its
+   Tseitin literal, asserted as a unit clause (guarded by the innermost
+   selector inside a push). *)
 let rec assert_ ctx e =
   ctx.last_sat <- false;
   match Expr.node e with

@@ -270,7 +270,12 @@ let step_body ?deadline s =
             | Data_word -> Cex_data d
             | Whole_candidate -> Cex_candidate code
           in
-          learn s cex;
+          (* its own span, so [trace report] shows the encoding of the
+             new counterexample as a phase instead of folding it into
+             cegis.loop *)
+          if Telemetry.enabled () then
+            Telemetry.span "cegis.learn" (fun () -> learn s cex)
+          else learn s cex;
           Progress cex
       | exception e ->
           Telemetry.end_span vsp ~fields:[ ("verdict", Telemetry.str "aborted") ];

@@ -160,6 +160,93 @@ let test_inprocessing_on_off () =
       configs
   done
 
+(* ---------- incremental differential fuzz ---------- *)
+
+(* The CEGIS shape: one solver answers a growing formula.  After every
+   answer 1-3 clauses are added, half of them (when there is a model)
+   built from the negations of model literals so the last model falsifies
+   them; sometimes fresh variables arrive, a clause is a unit, or the
+   assumptions change.  [self_check] runs after every call, every answer
+   is compared with the reference, every model with every clause and
+   assumption, and every assumption-free [Unsat] carries a DRAT proof the
+   checker accepts.  This drives the kept trail through each of its
+   paths: resumed solves, clauses unit or falsified below the current
+   level, out-of-order units and conflicts below the current level. *)
+let test_incremental () =
+  let rng = Channel.Prng.create 0x1C4E in
+  let rounds = max 100 iters in
+  let coin k = Channel.Prng.int_below rng k = 0 in
+  for i = 1 to rounds do
+    let s = Solver.create () in
+    Solver.enable_proof s;
+    if coin 4 then aggressive s;
+    (* these formulas are far below the default resume threshold *)
+    if not (coin 4) then Solver.set_resume_min_trail s 0;
+    let nv = ref (3 + Channel.Prng.int_below rng 8) in
+    ignore (Solver.new_vars s !nv);
+    let all = ref [] in
+    let check what =
+      match Solver.self_check s with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "round %d, after %s: self_check: %s" i what msg
+    in
+    let add c =
+      Solver.add_clause s c;
+      all := c :: !all;
+      check "add_clause"
+    in
+    let m = 1 + Channel.Prng.int_below rng (3 * !nv) in
+    for _ = 1 to m do
+      add (List.init (2 + Channel.Prng.int_below rng 2) (fun _ -> lit rng !nv))
+    done;
+    let assumptions = ref [] and model = ref None and live = ref true in
+    let step = ref 0 in
+    while !live && !step < 16 do
+      incr step;
+      let answer = Solver.solve ~assumptions:!assumptions s in
+      check "solve";
+      let units = List.map (fun a -> [ a ]) !assumptions in
+      (match (answer, Reference.solve ~num_vars:!nv (units @ !all)) with
+      | Solver.Sat, None | Solver.Unsat, Some _ ->
+          Alcotest.failf "round %d, step %d: solver and reference disagree" i !step
+      | Solver.Sat, Some _ ->
+          let mdl = Solver.model s in
+          List.iter
+            (fun c ->
+              if not (Reference.eval mdl c) then
+                Alcotest.failf "round %d, step %d: model falsifies a clause" i !step)
+            (units @ !all);
+          model := Some mdl
+      | Solver.Unsat, None ->
+          model := None;
+          if !assumptions = [] then begin
+            check_drat ~iteration:i s;
+            live := false
+          end);
+      if !live then begin
+        if coin 6 then begin
+          let k = 1 + Channel.Prng.int_below rng 2 in
+          ignore (Solver.new_vars s k);
+          nv := !nv + k
+        end;
+        for _ = 1 to 1 + Channel.Prng.int_below rng 3 do
+          let len = if coin 8 then 1 else 2 + Channel.Prng.int_below rng 3 in
+          let c =
+            match !model with
+            | Some mdl when coin 2 ->
+                List.init len (fun _ ->
+                    let v = Channel.Prng.int_below rng (Array.length mdl) in
+                    if mdl.(v) then Lit.neg (Lit.make v) else Lit.make v)
+            | _ -> List.init len (fun _ -> lit rng !nv)
+          in
+          add c
+        done;
+        if coin 5 then
+          assumptions := List.init (Channel.Prng.int_below rng 3) (fun _ -> lit rng !nv)
+      end
+    done
+  done
+
 (* ---------- cardinality-encoding agreement ---------- *)
 
 let encodings =
@@ -259,6 +346,12 @@ let () =
             `Slow test_cnf_cross_check;
           Alcotest.test_case "inprocessing on/off agrees with reference" `Slow
             test_inprocessing_on_off;
+        ] );
+      ( "incremental",
+        [
+          Alcotest.test_case
+            "growing formula: kept trail vs reference vs drat" `Slow
+            test_incremental;
         ] );
       ( "cardinality",
         [

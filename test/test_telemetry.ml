@@ -528,7 +528,7 @@ let test_cegis_event_kinds () =
         Alcotest.failf "trace missing %S (got: %s)" expected
           (String.concat ", " names))
     [ "cegis.session"; "cegis.iteration"; "cegis.candidate"; "cegis.verify";
-      "ctx.check"; "sat.solve"; "card.encode" ];
+      "cegis.learn"; "ctx.check"; "sat.solve"; "card.encode" ];
   (* span begin/end pairing over the whole trace *)
   let depth = ref 0 in
   List.iter
