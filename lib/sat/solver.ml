@@ -990,6 +990,22 @@ let store_clause s lits ~learnt ~lbd =
       cr
   | _ -> invalid_arg "Solver.store_clause: clause too short"
 
+(* Sort a clause's literals stably: by insertion for the short clauses
+   that make up nearly all of an encoding, by merging beyond that. *)
+let sort_lits cmp a =
+  let n = Array.length a in
+  if n > 16 then Array.stable_sort cmp a
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && cmp a.(!j) x > 0 do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
 (* A one-literal clause holds at level 0.  It is enqueued out of order
    when the trail is deeper (after backtracking below the literal's
    level if it is assigned) and propagated by the next search; at level
@@ -1015,7 +1031,8 @@ let add_unit s l =
 let add_long s lits =
   let level_of l = s.level.(l lsr 1) in
   let key l = if lit_value s l >= 0 then max_int else level_of l in
-  let lits = Array.of_list (List.stable_sort (fun x y -> compare (key y) (key x)) lits) in
+  (* [lits] arrive in ascending code order, which breaks ties *)
+  sort_lits (fun x y -> Int.compare (key y) (key x)) lits;
   let l0 = lits.(0) and l1 = lits.(1) in
   (* store the clause; returns the tagged reason it gives [l0] *)
   let store () =
@@ -1046,31 +1063,45 @@ let add_long s lits =
 
 (* Clauses are added against the live trail: after [Sat] the assignment
    may stay, and the next [solve] resumes from it (see [solve_body]).
-   Only level-0 values simplify a clause; deeper ones are not facts. *)
+   Only level-0 values simplify a clause; deeper ones are not facts.
+   The literals are sorted by code, so duplicates and a complementary
+   pair ([2v], [2v + 1]) sit next to each other, and one pass drops the
+   duplicates and level-0 false literals and detects a tautology. *)
 let add_clause s lits =
-  List.iter
-    (fun l ->
+  let a = Array.make (List.length lits) 0 in
+  List.iteri
+    (fun i l ->
       if Lit.var l >= s.nvars then
         invalid_arg
-          (Printf.sprintf "Solver.add_clause: variable %d not allocated" (Lit.var l)))
+          (Printf.sprintf "Solver.add_clause: variable %d not allocated" (Lit.var l));
+      a.(i) <- Lit.code l)
     lits;
   if s.okay then begin
     if s.proof_log <> None then s.originals <- lits :: s.originals;
     s.model_valid <- false;
-    (* simplify: remove duplicates and level-0 false literals, detect
-       tautology *)
     let fixed l v = lit_value s l = v && s.level.(l lsr 1) = 0 in
-    let lits = List.sort_uniq Int.compare (List.map Lit.code lits) in
-    let tautology =
-      List.exists (fun l -> List.mem (l lxor 1) lits || fixed l 1) lits
-    in
-    if not tautology then begin
-      match List.filter (fun l -> not (fixed l (-1))) lits with
-      | [] ->
+    sort_lits Int.compare a;
+    let len = Array.length a in
+    let kept = ref 0 and last = ref (-1) and tautology = ref false and i = ref 0 in
+    while (not !tautology) && !i < len do
+      let l = a.(!i) in
+      incr i;
+      if l <> !last then begin
+        if l = !last lxor 1 || fixed l 1 then tautology := true
+        else if not (fixed l (-1)) then begin
+          a.(!kept) <- l;
+          incr kept
+        end;
+        last := l
+      end
+    done;
+    if not !tautology then begin
+      match !kept with
+      | 0 ->
           proof_empty s;
           s.okay <- false
-      | [ l ] -> add_unit s l
-      | lits -> add_long s lits
+      | 1 -> add_unit s a.(0)
+      | n -> add_long s (if n = len then a else Array.sub a 0 n)
     end
   end
 

@@ -3,10 +3,19 @@ type result = Sat | Unsat
 exception Timeout
 exception Interrupted = Sat.Solver.Interrupted
 
+(* Expr uids and variable indices are ints: hash them as ints, not
+   through the polymorphic hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = (x * 0x9E3779B1) land max_int
+end)
+
 type t = {
   solver : Sat.Solver.t;
-  lit_cache : (int, Sat.Lit.t) Hashtbl.t; (* Expr uid -> defining literal *)
-  var_map : (int, int) Hashtbl.t; (* Expr variable index -> solver var *)
+  lit_cache : Sat.Lit.t Itbl.t; (* Expr uid -> defining literal *)
+  var_map : int Itbl.t; (* Expr variable index -> solver var *)
   mutable true_lit : Sat.Lit.t option;
   mutable selectors : Sat.Lit.t list; (* innermost first *)
   mutable last_sat : bool;
@@ -17,8 +26,8 @@ let create ?(proof = false) () =
   if proof then Sat.Solver.enable_proof solver;
   {
     solver;
-    lit_cache = Hashtbl.create 4096;
-    var_map = Hashtbl.create 256;
+    lit_cache = Itbl.create 4096;
+    var_map = Itbl.create 256;
     true_lit = None;
     selectors = [];
     last_sat = false;
@@ -48,11 +57,11 @@ let true_lit ctx =
       l
 
 let solver_var ctx i =
-  match Hashtbl.find_opt ctx.var_map i with
+  match Itbl.find_opt ctx.var_map i with
   | Some v -> v
   | None ->
       let v = Sat.Solver.new_var ctx.solver in
-      Hashtbl.add ctx.var_map i v;
+      Itbl.add ctx.var_map i v;
       v
 
 (* Definitional clauses carry no selector: they define fresh variables and
@@ -63,7 +72,7 @@ let define ctx lits = Sat.Solver.add_clause ctx.solver lits
    child's literal; all other connectives get a defining variable with a
    full (both-polarity) encoding. *)
 let rec lit_of ctx e =
-  match Hashtbl.find_opt ctx.lit_cache (Expr.id e) with
+  match Itbl.find_opt ctx.lit_cache (Expr.id e) with
   | Some l -> l
   | None ->
       let l =
@@ -102,7 +111,7 @@ let rec lit_of ctx e =
             define ctx [ y; lc; n lb ];
             y
       in
-      Hashtbl.add ctx.lit_cache (Expr.id e) l;
+      Itbl.add ctx.lit_cache (Expr.id e) l;
       l
 
 let push ctx =
@@ -248,13 +257,13 @@ let enumerate ?limit ctx ~over f =
 let model_bool ctx e =
   if not ctx.last_sat then invalid_arg "Ctx.model_bool: no model available";
   let value_of_var i =
-    match Hashtbl.find_opt ctx.var_map i with
+    match Itbl.find_opt ctx.var_map i with
     | Some v -> Sat.Solver.value_var ctx.solver v
     | None -> false
   in
   (* Prefer the cached Tseitin literal (exact), fall back to structural
      evaluation for expressions the solver never saw. *)
-  match Hashtbl.find_opt ctx.lit_cache (Expr.id e) with
+  match Itbl.find_opt ctx.lit_cache (Expr.id e) with
   | Some l -> Sat.Solver.value ctx.solver l
   | None -> Expr.eval value_of_var e
 

@@ -15,26 +15,50 @@ let equal a b = a == b
 let hash e = e.uid
 let compare a b = Int.compare a.uid b.uid
 
-(* Structural key used for hash-consing: children identified by uid. *)
-module Key = struct
-  type k =
-    | KTrue
-    | KVar of int
-    | KNot of int
-    | KAnd of int list
-    | KOr of int list
-    | KXor of int * int
-    | KIte of int * int * int
+(* Hash-consing compares a node's children by identity: two nodes are the
+   same key when their constructors match and their children are
+   physically equal, which hash-consing makes the same as structural
+   equality. *)
+module Tbl = Hashtbl.Make (struct
+  type t = node
 
-  let of_node = function
-    | True -> KTrue
-    | Var i -> KVar i
-    | Not e -> KNot e.uid
-    | And es -> KAnd (List.map (fun e -> e.uid) es)
-    | Or es -> KOr (List.map (fun e -> e.uid) es)
-    | Xor (a, b) -> KXor (a.uid, b.uid)
-    | Ite (c, a, b) -> KIte (c.uid, a.uid, b.uid)
-end
+  let rec same_list xs ys =
+    match (xs, ys) with
+    | [], [] -> true
+    | x :: xs, y :: ys -> x == y && same_list xs ys
+    | _ -> false
+
+  let equal a b =
+    match (a, b) with
+    | True, True -> true
+    | Var i, Var j -> i = j
+    | Not x, Not y -> x == y
+    | And xs, And ys | Or xs, Or ys -> same_list xs ys
+    | Xor (a, b), Xor (c, d) -> a == c && b == d
+    | Ite (c, a, b), Ite (c', a', b') -> c == c' && a == a' && b == b'
+    | _ -> false
+
+  let mix h x = (h * 31) + x
+
+  let rec hash_list h = function
+    | [] -> h
+    | e :: es -> hash_list (mix h e.uid) es
+
+  let hash n =
+    let h =
+      match n with
+      | True -> 0
+      | Var i -> mix 1 i
+      | Not e -> mix 2 e.uid
+      | And es -> hash_list 3 es
+      | Or es -> hash_list 4 es
+      | Xor (a, b) -> mix (mix 5 a.uid) b.uid
+      | Ite (c, a, b) -> mix (mix (mix 6 c.uid) a.uid) b.uid
+    in
+    (* spread the low bits, which pick the bucket *)
+    let h = h * 0x9E3779B1 in
+    (h lxor (h lsr 29)) land max_int
+end)
 
 (* Uids come from one process-wide atomic counter, so they never collide
    across scopes and a uid sort stays a construction-order sort. *)
@@ -45,15 +69,16 @@ let false_ = { uid = Atomic.fetch_and_add uids 1; n = Not true_ }
 
 (* A hash-consing table.  Portfolio workers build expressions in one
    scope from several domains, so every lookup+insert is one critical
-   section; solver search (which never allocates expressions) dominates
-   wall-clock.  The table is strongly held: a weak one would make uids,
-   and with them the CEGIS trajectory, depend on GC timing. *)
-type scope = { table : (Key.k, t) Hashtbl.t; lock : Mutex.t }
+   section; a CEGIS run builds a counterexample's nodes once per
+   iteration, so lookups stay a visible cost next to the solver's search.
+   The table is strongly held: a weak one would make uids, and with them
+   the CEGIS trajectory, depend on GC timing. *)
+type scope = { table : t Tbl.t; lock : Mutex.t }
 
 let new_scope () =
-  let table = Hashtbl.create 4096 in
-  Hashtbl.add table Key.KTrue true_;
-  Hashtbl.add table (Key.KNot true_.uid) false_;
+  let table = Tbl.create 4096 in
+  Tbl.add table True true_;
+  Tbl.add table (Not true_) false_;
   { table; lock = Mutex.create () }
 
 (* Every domain starts in the one process-wide scope. *)
@@ -68,18 +93,23 @@ let with_scope scope f =
   Domain.DLS.set scope_key scope;
   Fun.protect ~finally:(fun () -> Domain.DLS.set scope_key prev) f
 
-let scope_size s = Mutex.protect s.lock (fun () -> Hashtbl.length s.table)
+let scope_size s = Mutex.protect s.lock (fun () -> Tbl.length s.table)
 
+(* Neither [Tbl.find_opt] nor [Tbl.add] raises on a well-formed node, so
+   the lock needs no [Fun.protect] (and [mk] allocates no closure). *)
 let mk n =
-  let key = Key.of_node n in
   let s = current_scope () in
-  Mutex.protect s.lock (fun () ->
-      match Hashtbl.find_opt s.table key with
-      | Some e -> e
-      | None ->
-          let e = { uid = Atomic.fetch_and_add uids 1; n } in
-          Hashtbl.add s.table key e;
-          e)
+  Mutex.lock s.lock;
+  let e =
+    match Tbl.find_opt s.table n with
+    | Some e -> e
+    | None ->
+        let e = { uid = Atomic.fetch_and_add uids 1; n } in
+        Tbl.add s.table n e;
+        e
+  in
+  Mutex.unlock s.lock;
+  e
 
 let var i =
   if i < 0 then invalid_arg "Expr.var: negative index";
@@ -90,21 +120,28 @@ let is_true e = equal e true_
 let is_false e = equal e false_
 let of_bool b = if b then true_ else false_
 
+(* A complementary pair is some [x] next to [Not x]: look for the [Not]
+   node's child among the operands instead of negating every operand,
+   which would hash-cons a [Not] node per operand. *)
+let has_complement es =
+  List.exists (fun e -> match e.n with Not x -> List.memq x es | _ -> false) es
+
 let and_ es =
   let es = List.sort_uniq compare es in
   let es = List.filter (fun e -> not (is_true e)) es in
-  if List.exists is_false es then false_
-  else if List.exists (fun e -> List.memq (not_ e) es) es then false_
-  else
-    match es with [] -> true_ | [ e ] -> e | _ -> mk (And es)
+  if List.exists is_false es || has_complement es then false_
+  else match es with [] -> true_ | [ e ] -> e | _ -> mk (And es)
 
 let or_ es =
   let es = List.sort_uniq compare es in
   let es = List.filter (fun e -> not (is_false e)) es in
-  if List.exists is_true es then true_
-  else if List.exists (fun e -> List.memq (not_ e) es) es then true_
-  else
-    match es with [] -> false_ | [ e ] -> e | _ -> mk (Or es)
+  if List.exists is_true es || has_complement es then true_
+  else match es with [] -> false_ | [ e ] -> e | _ -> mk (Or es)
+
+(* [a] is [not_ b], found without building [not_ b] *)
+let complementary a b =
+  (match a.n with Not x -> x == b | _ -> false)
+  || match b.n with Not x -> x == a | _ -> false
 
 let xor a b =
   if is_false a then b
@@ -112,7 +149,7 @@ let xor a b =
   else if is_true a then not_ b
   else if is_true b then not_ a
   else if equal a b then false_
-  else if equal a (not_ b) then true_
+  else if complementary a b then true_
   else
     (* canonical operand order *)
     let a, b = if a.uid <= b.uid then (a, b) else (b, a) in

@@ -62,40 +62,81 @@ let block_candidate_constraint vars code =
     vars;
   Expr.or_ !diffs
 
-(* ---------- row-symmetry breaking ---------- *)
+(* ---------- symmetry breaking ---------- *)
 
-(* Permuting the data bits (the rows of P) maps a code to an equivalent
-   code with the same minimum distance, so every code has a row-permuted
-   copy whose rows descend lexicographically, last column most
-   significant, and asking for that order loses no answer: unsat under it
-   is unsat without it.  For md >= 3 no two rows may be equal ([e_i + e_j]
-   encodes to weight [2 + d(P_i, P_j)]), so the order is strict.
+(* Permuting the data bits (the rows of P) or the check bits (its columns)
+   maps a code to an equivalent code with the same minimum distance, so a
+   search may ask for one member of each orbit and lose no answer: unsat
+   under the order is unsat without it.  The rows of P descend
+   lexicographically, last column most significant; with the columns
+   ordered too, they descend, last row most significant.  Both orders read
+   the matrix from its last index, so together they are the double-lex
+   order of the matrix with rows and columns reversed, and every matrix
+   has a row and column permutation in it (Flener et al., CP 2002).  For
+   md >= 3 no two rows may be equal ([e_i + e_j] encodes to weight
+   [2 + d(P_i, P_j)]), so the row order is strict; columns may repeat.
 
-   Each adjacent pair [P_i >= P_(i+1)] gets one fresh variable [x_t] per
-   position, "the rows agree on their [t] most significant bits" ([x_0] is
-   true; [x_c], all bits equal, is false when strict).  With [a] the lower
-   row's bit and [b] the upper row's at position [t]:
+   [assert_lex_geq syn ~upper ~lower] asks [upper >= lower], the last
+   position most significant.  Each pair gets one fresh variable [x_t] per
+   position, "the vectors agree on their [t] most significant bits" ([x_0]
+   is true; [x_n], all bits equal, is false when strict).  With [a] the
+   lower vector's bit and [b] the upper one's at position [t]:
      x_t -> (~a \/ b),   x_t /\ a -> x_(t+1),   x_t /\ ~b -> x_(t+1). *)
-let assert_row_order syn vars ~strict =
-  let check_len = Array.length vars.(0) in
-  for i = 0 to Array.length vars - 2 do
-    let upper = vars.(i) and lower = vars.(i + 1) in
-    let fresh = Array.of_list (Fresh.make_n (check_len - 1)) in
-    let x t =
-      if t = 0 then Expr.true_
-      else if t = check_len then Expr.of_bool (not strict)
-      else fresh.(t - 1)
-    in
-    for t = 0 to check_len - 1 do
-      let col = check_len - 1 - t in
-      let a = lower.(col) and b = upper.(col) in
-      List.iter
-        (fun lits ->
-          let clause = Expr.or_ (Expr.not_ (x t) :: lits) in
-          if not (Expr.is_true clause) then Ctx.assert_ syn clause)
-        [ [ Expr.not_ a; b ]; [ Expr.not_ a; x (t + 1) ]; [ b; x (t + 1) ] ]
-    done
+let assert_lex_geq syn ~upper ~lower ~strict =
+  let n = Array.length upper in
+  let fresh = Array.of_list (Fresh.make_n (n - 1)) in
+  let x t =
+    if t = 0 then Expr.true_
+    else if t = n then Expr.of_bool (not strict)
+    else fresh.(t - 1)
+  in
+  for t = 0 to n - 1 do
+    let pos = n - 1 - t in
+    let a = lower.(pos) and b = upper.(pos) in
+    List.iter
+      (fun lits ->
+        let clause = Expr.or_ (Expr.not_ (x t) :: lits) in
+        if not (Expr.is_true clause) then Ctx.assert_ syn clause)
+      [ [ Expr.not_ a; b ]; [ Expr.not_ a; x (t + 1) ]; [ b; x (t + 1) ] ]
   done
+
+let assert_row_order syn vars ~strict =
+  for i = 0 to Array.length vars - 2 do
+    assert_lex_geq syn ~upper:vars.(i) ~lower:vars.(i + 1) ~strict
+  done
+
+let assert_col_order syn vars =
+  let column j = Array.map (fun row -> row.(j)) vars in
+  for j = 0 to Array.length vars.(0) - 2 do
+    assert_lex_geq syn ~upper:(column j) ~lower:(column (j + 1)) ~strict:false
+  done
+
+type symmetry = No_order | Rows | Rows_cols
+
+let symmetry_name = function
+  | No_order -> "none"
+  | Rows -> "rows"
+  | Rows_cols -> "rows+cols"
+
+(* The Griesmer bound: a linear [n, k, d] code has
+   n >= sum_(i<k) ceil(d / 2^i), so c >= that sum - k. *)
+let griesmer_check_len ~data_len ~min_distance =
+  let rec go i d acc =
+    if i = data_len then acc else go (i + 1) ((d + 1) / 2) (acc + d)
+  in
+  go 0 min_distance 0 - data_len
+
+(* An extra constraint may tell rows or columns apart (a pin, a set-bit
+   bound), so only a pure-distance problem is symmetric.  The column order
+   is added only where codes are rarest, at or below the Griesmer check
+   length: there it turns the c_min - 1 proofs from thousands of conflicts
+   into hundreds, while above the bound, where most probes are finds, it
+   slowed the search down (DESIGN.md, "Double-lex at or below the Griesmer
+   bound"). *)
+let symmetry_of_problem { data_len; check_len; min_distance; extra } =
+  if extra <> [] then No_order
+  else if check_len <= griesmer_check_len ~data_len ~min_distance then Rows_cols
+  else Rows
 
 (* ---------- resumable session: one CEGIS iteration at a time ---------- *)
 
@@ -108,6 +149,7 @@ type session = {
   interrupt : (unit -> bool) option;
   syn : Ctx.t;
   vars : Expr.t array array;
+  symmetry : symmetry;
   start : float;
   mutable iterations : int;
   mutable verifier_calls : int;
@@ -161,10 +203,10 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
   in
   let entry ~row ~col = vars.(row).(col) in
   List.iter (fun build -> Ctx.assert_ syn (build ~entry)) extra;
-  (* an extra constraint may tell the rows apart (a pin, a set-bit
-     bound), so only a pure-distance problem is row-symmetric *)
-  if extra = [] then
+  let symmetry = symmetry_of_problem problem in
+  if symmetry <> No_order then
     assert_row_order syn vars ~strict:(problem.min_distance >= 3);
+  if symmetry = Rows_cols then assert_col_order syn vars;
   if Telemetry.enabled () then
     Telemetry.point "cegis.session"
       ~fields:
@@ -177,6 +219,7 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
           ("verifier", Telemetry.str (verifier_name verifier));
           ("seed", Telemetry.int (Option.value seed ~default:(-1)));
           ("extra_constraints", Telemetry.int (List.length extra));
+          ("symmetry", Telemetry.str (symmetry_name symmetry));
         ];
   let s =
     {
@@ -188,6 +231,7 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
       interrupt;
       syn;
       vars;
+      symmetry;
       start = Unix.gettimeofday ();
       iterations = 0;
       verifier_calls = 0;
@@ -201,6 +245,8 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
   s
 
 let matrix_vars s = s.vars
+let symmetry s = s.symmetry
+let context s = s.syn
 
 let session_stats s : Report.Stats.t =
   {

@@ -52,6 +52,21 @@ type cex =
 val make_matrix_vars :
   data_len:int -> check_len:int -> Smtlite.Expr.t array array
 
+(** How much of P's permutation symmetry a session breaks. *)
+type symmetry =
+  | No_order  (** an [extra] constraint may tell rows or columns apart *)
+  | Rows
+      (** the rows of P descend lexicographically, last column most
+          significant, strictly when [min_distance >= 3] *)
+  | Rows_cols
+      (** the rows as in [Rows], and the columns descend too, last row
+          most significant, not strictly: the double-lex order read from
+          the last index *)
+
+(** [griesmer_check_len ~data_len ~min_distance] is the fewest check bits
+    the Griesmer bound allows, [sum_(i<k) ceil(md / 2^i) - k]. *)
+val griesmer_check_len : data_len:int -> min_distance:int -> int
+
 (** A resumable CEGIS run: the synthesizer context plus counters.  One
     {!step} call performs exactly one iteration of Algorithm 1, so callers
     (the sequential driver, the parallel portfolio) own the loop and can
@@ -66,11 +81,10 @@ type session
     symbolic coefficient-matrix bits (shared across portfolio workers so
     candidates and counterexamples refer to the same expression variables —
     fresh ones are drawn from {!Smtlite.Fresh} otherwise).  A problem
-    with no [extra] constraints is row-symmetric, so the session also
-    requires the rows of P to descend lexicographically (last column most
-    significant, strictly when [min_distance >= 3]): every code has such
-    a row permutation with the same distance, so [Exhausted] still means
-    no code exists.
+    with no [extra] constraints is symmetric under row and column
+    permutations of P, so the session orders P (see {!symmetry}): every
+    code has a permutation in that order with the same distance, so
+    [Exhausted] still means no code exists.
     @raise Invalid_argument on an empty problem or mismatched [vars]. *)
 val create_session :
   ?cex_mode:cex_mode ->
@@ -86,6 +100,17 @@ val create_session :
 (** The symbolic coefficient-matrix bits of a session ([data_len] rows of
     [check_len] columns). *)
 val matrix_vars : session -> Smtlite.Expr.t array array
+
+(** The order {!create_session} put on P: [No_order] when the problem has
+    [extra] constraints, [Rows_cols] when its check length is at most
+    {!griesmer_check_len}, and [Rows] above it.  The choice reads nothing
+    but the [problem] record, so a replay of the same problem runs the
+    same search.  The [cegis.session] telemetry point carries it as
+    [symmetry]: ["none"], ["rows"] or ["rows+cols"]. *)
+val symmetry : session -> symmetry
+
+(** The synthesizer context, for inspecting its size. *)
+val context : session -> Smtlite.Ctx.t
 
 (** One CEGIS iteration: solve for a candidate, verify it, learn the
     counterexample on failure. *)

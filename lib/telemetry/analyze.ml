@@ -133,7 +133,7 @@ let known_fields =
       "queue_depth"; "queue_wait_s"; "reason"; "request";
       "restart_interval_s"; "restart_s"; "restarts"; "result";
       "resumed_cexes"; "round"; "rounds"; "samples"; "scale"; "scheduler";
-      "seed"; "session"; "set_bits"; "site"; "stats.elapsed_s";
+      "seed"; "session"; "set_bits"; "site"; "stats.elapsed_s"; "symmetry";
       "stats.iterations"; "stats.learnt_size_p50"; "stats.learnt_size_p95";
       "stats.learnt_size_p99"; "stats.syn_conflicts"; "stats.ver_conflicts";
       "stats.verifier_calls"; "stats.worker_crashes"; "stats.worker_restarts";

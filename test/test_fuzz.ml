@@ -247,6 +247,79 @@ let test_incremental () =
     done
   done
 
+(* ---------- clause simplification ---------- *)
+
+(* [add_clause] gets clauses in every shape an encoder can hand it:
+   repeated literals in any order, a literal next to its own negation, and
+   literals already true or false at level 0 because a unit fixed them.
+   Half the solvers keep their trail after [Sat], so the clauses also
+   arrive against the last model.  [self_check] runs after every call,
+   every answer is compared with the reference, every model with every
+   clause, and an [Unsat] carries a DRAT proof the checker accepts. *)
+let test_add_clause_shapes () =
+  let rng = Channel.Prng.create 0xADDC in
+  let rounds = max 100 (iters / 2) in
+  let below k = Channel.Prng.int_below rng k in
+  for i = 1 to rounds do
+    let s = Solver.create () in
+    Solver.enable_proof s;
+    if below 2 = 0 then Solver.set_resume_min_trail s 0;
+    let nv = 4 + below 8 in
+    ignore (Solver.new_vars s nv);
+    let all = ref [] and units = ref [] in
+    let add c =
+      Solver.add_clause s c;
+      all := c :: !all;
+      match Solver.self_check s with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "round %d: self_check after add_clause: %s" i msg
+    in
+    let awkward () =
+      let base = List.init (1 + below 3) (fun _ -> lit rng nv) in
+      let l = List.hd base in
+      match below 4 with
+      | 0 -> base @ List.rev base
+      | 1 -> base @ [ Lit.neg l ] @ base
+      | 2 -> (
+          match !units with
+          | [] -> base
+          | us ->
+              let u = List.nth us (below (List.length us)) in
+              (* true at level 0 (the clause holds) or false (dropped) *)
+              (if below 2 = 0 then u else Lit.neg u) :: base)
+      | _ -> base
+    in
+    for _ = 1 to nv do
+      add (List.init (2 + below 2) (fun _ -> lit rng nv))
+    done;
+    for _ = 1 to 1 + below 3 do
+      let u = lit rng nv in
+      add [ u ];
+      units := u :: !units
+    done;
+    let live = ref true and step = ref 0 in
+    while !live && !step < 8 do
+      incr step;
+      for _ = 1 to 1 + below 4 do
+        add (awkward ())
+      done;
+      let answer = Solver.solve s in
+      match (answer, Reference.solve ~num_vars:nv !all) with
+      | Solver.Sat, None | Solver.Unsat, Some _ ->
+          Alcotest.failf "round %d, step %d: solver and reference disagree" i !step
+      | Solver.Sat, Some _ ->
+          let mdl = Solver.model s in
+          List.iter
+            (fun c ->
+              if not (Reference.eval mdl c) then
+                Alcotest.failf "round %d, step %d: model falsifies a clause" i !step)
+            !all
+      | Solver.Unsat, None ->
+          check_drat ~iteration:i s;
+          live := false
+    done
+  done
+
 (* ---------- cardinality-encoding agreement ---------- *)
 
 let encodings =
@@ -352,6 +425,12 @@ let () =
           Alcotest.test_case
             "growing formula: kept trail vs reference vs drat" `Slow
             test_incremental;
+        ] );
+      ( "add-clause",
+        [
+          Alcotest.test_case
+            "duplicates, tautologies, level-0 literals vs reference" `Quick
+            test_add_clause_shapes;
         ] );
       ( "cardinality",
         [

@@ -290,15 +290,19 @@ let test_run_sync_repeatable () =
      trajectory, and nothing lands in the process-wide table *)
   let global = Expr.current_scope () in
   let before = Expr.scope_size global in
-  let counts () =
-    match (Session.run_sync (synth_request ~k:10 ~c:10 ~md:5)).Session.outcome with
+  let counts ?(k = 10) ?(c = 10) ?(md = 5) () =
+    match (Session.run_sync (synth_request ~k ~c ~md)).Session.outcome with
     | Session.Codes (_, st) ->
         (st.Synth.Report.Stats.iterations, st.Synth.Report.Stats.syn_conflicts)
-    | _ -> Alcotest.fail "(10,10,5) did not synthesize"
+    | _ -> Alcotest.failf "(%d,%d,%d) did not synthesize" k c md
   in
   let first = counts () in
   Alcotest.(check (pair int int)) "second run identical" first (counts ());
+  (* pinned trajectories: an encoding change that is meant to leave the
+     search alone must leave these counts alone *)
   Alcotest.(check (pair int int)) "(10,10,5) iterations, syn conflicts" (29, 57) first;
+  Alcotest.(check (pair int int)) "(12,15,7) iterations, syn conflicts" (84, 375)
+    (counts ~k:12 ~c:15 ~md:7 ());
   Alcotest.(check int) "process-wide scope untouched" before (Expr.scope_size global)
 
 let test_portfolio_shares_scope () =

@@ -72,6 +72,37 @@ let test_scope_sharing () =
   Alcotest.(check bool) "scope grew" true (Expr.scope_size scope > 2);
   Alcotest.(check bool) "previous scope restored" true (Expr.var 7 == outside)
 
+(* [and_]/[or_] add at most the node they return to the scope: deciding
+   that two operands are complementary builds no [Not] node *)
+let test_connectives_grow_by_result () =
+  let scope = Expr.new_scope () in
+  Expr.with_scope scope (fun () ->
+      let a = Expr.var 0 and b = Expr.var 1 and c = Expr.var 2 in
+      let na = Expr.not_ a and nb = Expr.not_ b in
+      let x = Expr.xor a c in
+      let nx = Expr.not_ x in
+      let grows name expected build =
+        let before = Expr.scope_size scope in
+        let e = build () in
+        Alcotest.(check int) name expected (Expr.scope_size scope - before);
+        e
+      in
+      let conj = grows "and of three" 1 (fun () -> Expr.and_ [ a; b; c ]) in
+      ignore (grows "same and again" 0 (fun () -> Expr.and_ [ c; b; a ]) : Expr.t);
+      Alcotest.(check bool) "shared" true (Expr.and_ [ b; c; a ] == conj);
+      ignore (grows "or with a negation" 1 (fun () -> Expr.or_ [ na; b; x ]) : Expr.t);
+      ignore (grows "duplicates fold" 0 (fun () -> Expr.or_ [ b; b ]) : Expr.t);
+      ignore (grows "constant operands fold" 0 (fun () -> Expr.and_ [ Expr.true_; x ]) : Expr.t);
+      let check_const name expected build =
+        Alcotest.(check bool) name true (grows name 0 build == expected)
+      in
+      check_const "a and b and not a" Expr.false_ (fun () -> Expr.and_ [ a; b; na ]);
+      check_const "not b or c or b" Expr.true_ (fun () -> Expr.or_ [ nb; c; b ]);
+      check_const "xor and its negation" Expr.false_ (fun () -> Expr.and_ [ nx; x ]);
+      check_const "or over a negated xor" Expr.true_ (fun () -> Expr.or_ [ x; a; nx ]);
+      check_const "and with false" Expr.false_ (fun () -> Expr.and_ [ a; Expr.false_ ]);
+      check_const "or with true" Expr.true_ (fun () -> Expr.or_ [ Expr.true_; a ]))
+
 let test_expr_vars_size () =
   let e = Expr.and_ [ Expr.var 5; Expr.xor (Expr.var 2) (Expr.var 5) ] in
   Alcotest.(check (list int)) "vars" [ 2; 5 ] (Expr.vars e);
@@ -486,6 +517,8 @@ let () =
         [
           Alcotest.test_case "ended scope is collected" `Quick test_scope_collects;
           Alcotest.test_case "sharing within a fresh scope" `Quick test_scope_sharing;
+          Alcotest.test_case "and/or add only their result" `Quick
+            test_connectives_grow_by_result;
         ] );
       ( "tseitin",
         [

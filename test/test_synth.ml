@@ -305,6 +305,133 @@ let test_table1_minimality () =
       | _ -> Alcotest.failf "md %d: expected a generator" m)
     [ (3, 3); (4, 4); (5, 7); (6, 8); (7, 10); (8, 11) ]
 
+(* ---------- double-lex order (row and column symmetry breaking) ---------- *)
+
+module E = Smtlite.Expr
+
+(* The test's own lexicographic order, sharing no code with [Cegis]:
+   [lex_geq ~strict hi lo] holds when the bit list [hi] is at least [lo],
+   most significant bit first. *)
+let rec lex_geq ~strict hi lo =
+  match (hi, lo) with
+  | [], [] -> E.of_bool (not strict)
+  | h :: hs, l :: ls ->
+      E.or_
+        [ E.and_ [ h; E.not_ l ]; E.and_ [ E.iff h l; lex_geq ~strict hs ls ] ]
+  | _ -> invalid_arg "lex_geq: length mismatch"
+
+(* rows of P descend, last column most significant *)
+let rows_descend ~k ~c ~strict ~entry =
+  let row i = List.init c (fun t -> entry ~row:i ~col:(c - 1 - t)) in
+  E.and_ (List.init (k - 1) (fun i -> lex_geq ~strict (row i) (row (i + 1))))
+
+(* columns of P descend, not strictly; [last_row_first] picks the last row
+   (the library's orientation) or row 0 as the most significant *)
+let cols_descend ~k ~c ~last_row_first ~entry =
+  let col j =
+    List.init k (fun t -> entry ~row:(if last_row_first then k - 1 - t else t) ~col:j)
+  in
+  E.and_ (List.init (c - 1) (fun j -> lex_geq ~strict:false (col j) (col (j + 1))))
+
+(* the problem (k, c, m) under the test's own double-lex order, passed as
+   [extra] constraints, which keeps the session's own order off *)
+let double_lex ~last_row_first ~k ~c ~m =
+  {
+    Cegis.data_len = k;
+    check_len = c;
+    min_distance = m;
+    extra =
+      [
+        rows_descend ~k ~c ~strict:(m >= 3);
+        cols_descend ~k ~c ~last_row_first;
+      ];
+  }
+
+(* every (k, c, m) of the brute-force range whose verdict under the order
+   differs from brute force *)
+let double_lex_disagreements ~last_row_first =
+  let bad = ref [] in
+  for k = 1 to 4 do
+    for c = 1 to 5 do
+      let best = brute_max_md ~k ~c in
+      for m = 2 to c + 2 do
+        let verdict = session_verdict (double_lex ~last_row_first ~k ~c ~m) in
+        check_verdict ~k ~c ~m verdict;
+        if m <= best <> (verdict <> None) then bad := (k, c, m) :: !bad
+      done
+    done
+  done;
+  !bad
+
+let test_double_lex_matches_bruteforce () =
+  match double_lex_disagreements ~last_row_first:true with
+  | [] -> ()
+  | (k, c, m) :: _ as bad ->
+      Alcotest.failf "double-lex wrong on %d instances, e.g. (%d,%d,%d)"
+        (List.length bad) k c m
+
+(* the column order read from row 0 mixes two orientations and loses
+   codes: the check above is able to catch a wrong order *)
+let test_mixed_orientation_fails () =
+  Alcotest.(check bool) "row-0-first column order loses an answer" true
+    (double_lex_disagreements ~last_row_first:false <> [])
+
+let solver_vars s = Sat.Solver.nvars (Smtlite.Ctx.solver (Cegis.context s))
+
+let pure ~k ~c ~m =
+  { Cegis.data_len = k; check_len = c; min_distance = m; extra = [] }
+
+let test_double_lex_at_bound () =
+  for k = 1 to 6 do
+    for m = 2 to 8 do
+      let bound = Cegis.griesmer_check_len ~data_len:k ~min_distance:m in
+      Alcotest.(check int)
+        (Printf.sprintf "k %d md %d bound" k m)
+        (griesmer ~k ~d:m - k) bound;
+      if bound >= 1 then begin
+        let at c = Cegis.symmetry (Cegis.create_session (pure ~k ~c ~m)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "k %d md %d: rows+cols at c = %d" k m bound)
+          true
+          (at bound = Cegis.Rows_cols);
+        Alcotest.(check bool)
+          (Printf.sprintf "k %d md %d: rows only at c = %d" k m (bound + 1))
+          true
+          (at (bound + 1) = Cegis.Rows)
+      end
+    done
+  done;
+  (* one (k, c) under two targets, on the bound of [m_on] and one above the
+     bound of [m_off]: the strict row order is the same, so the solver
+     variables differ by the column order alone -- per adjacent column
+     pair, one prefix variable for each of the k positions but the first,
+     and one Tseitin variable per column clause, three per position less
+     the two that hold trivially at the last, non-strict one: 4k - 3.
+     From k = 2 on, the row order already puts every bit of P in the
+     solver. *)
+  let pairs = ref 0 in
+  for k = 2 to 5 do
+    for m_on = 3 to 8 do
+      let c = Cegis.griesmer_check_len ~data_len:k ~min_distance:m_on in
+      for m_off = 3 to 8 do
+        if c >= 2 && Cegis.griesmer_check_len ~data_len:k ~min_distance:m_off = c - 1
+        then begin
+          incr pairs;
+          let on = Cegis.create_session (pure ~k ~c ~m:m_on) in
+          let off = Cegis.create_session (pure ~k ~c ~m:m_off) in
+          Alcotest.(check bool) "orders" true
+            (Cegis.symmetry on = Cegis.Rows_cols && Cegis.symmetry off = Cegis.Rows);
+          Alcotest.(check int)
+            (Printf.sprintf "(%d,%d) md %d vs %d: column-order variables" k c m_on m_off)
+            ((c - 1) * ((4 * k) - 3))
+            (solver_vars on - solver_vars off)
+        end
+      done
+    done
+  done;
+  Alcotest.(check bool) "some (k, c) sits on one bound and above another" true
+    (!pairs > 0)
+
 (* ---------- optimization: minimal set bits (§4.4) ---------- *)
 
 let test_minimize_set_bits_walk () =
@@ -685,6 +812,15 @@ let () =
             test_row_order_matches_unordered;
           Alcotest.test_case "pins keep the ordering off" `Quick
             test_pins_keep_order_off;
+        ] );
+      ( "double-lex",
+        [
+          Alcotest.test_case "matches brute force (k <= 4, c <= 5)" `Quick
+            test_double_lex_matches_bruteforce;
+          Alcotest.test_case "a mixed orientation loses answers" `Quick
+            test_mixed_orientation_fails;
+          Alcotest.test_case "fires at the Griesmer bound, not above" `Quick
+            test_double_lex_at_bound;
         ] );
       ( "optimize",
         [
