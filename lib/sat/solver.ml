@@ -990,22 +990,6 @@ let store_clause s lits ~learnt ~lbd =
       cr
   | _ -> invalid_arg "Solver.store_clause: clause too short"
 
-(* Sort a clause's literals stably: by insertion for the short clauses
-   that make up nearly all of an encoding, by merging beyond that. *)
-let sort_lits cmp a =
-  let n = Array.length a in
-  if n > 16 then Array.stable_sort cmp a
-  else
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && cmp a.(!j) x > 0 do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-
 (* A one-literal clause holds at level 0.  It is enqueued out of order
    when the trail is deeper (after backtracking below the literal's
    level if it is assigned) and propagated by the next search; at level
@@ -1032,7 +1016,7 @@ let add_long s lits =
   let level_of l = s.level.(l lsr 1) in
   let key l = if lit_value s l >= 0 then max_int else level_of l in
   (* [lits] arrive in ascending code order, which breaks ties *)
-  sort_lits (fun x y -> Int.compare (key y) (key x)) lits;
+  Array.stable_sort (fun x y -> Int.compare (key y) (key x)) lits;
   let l0 = lits.(0) and l1 = lits.(1) in
   (* store the clause; returns the tagged reason it gives [l0] *)
   let store () =
@@ -1080,7 +1064,7 @@ let add_clause s lits =
     if s.proof_log <> None then s.originals <- lits :: s.originals;
     s.model_valid <- false;
     let fixed l v = lit_value s l = v && s.level.(l lsr 1) = 0 in
-    sort_lits Int.compare a;
+    Array.stable_sort Int.compare a;
     let len = Array.length a in
     let kept = ref 0 and last = ref (-1) and tautology = ref false and i = ref 0 in
     while (not !tautology) && !i < len do

@@ -3,14 +3,9 @@ type result = Sat | Unsat
 exception Timeout
 exception Interrupted = Sat.Solver.Interrupted
 
-(* Expr uids and variable indices are ints: hash them as ints, not
-   through the polymorphic hash. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = (x * 0x9E3779B1) land max_int
-end)
+(* Expr uids and variable indices are ints: key them by [Int], not
+   through the polymorphic hash and compare. *)
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
   solver : Sat.Solver.t;

@@ -56,8 +56,7 @@ module Tbl = Hashtbl.Make (struct
       | Ite (c, a, b) -> mix (mix (mix 6 c.uid) a.uid) b.uid
     in
     (* spread the low bits, which pick the bucket *)
-    let h = h * 0x9E3779B1 in
-    (h lxor (h lsr 29)) land max_int
+    Int.hash h
 end)
 
 (* Uids come from one process-wide atomic counter, so they never collide

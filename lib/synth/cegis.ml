@@ -149,7 +149,6 @@ type session = {
   interrupt : (unit -> bool) option;
   syn : Ctx.t;
   vars : Expr.t array array;
-  symmetry : symmetry;
   start : float;
   mutable iterations : int;
   mutable verifier_calls : int;
@@ -231,7 +230,6 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
       interrupt;
       syn;
       vars;
-      symmetry;
       start = Unix.gettimeofday ();
       iterations = 0;
       verifier_calls = 0;
@@ -245,8 +243,8 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
   s
 
 let matrix_vars s = s.vars
-let symmetry s = s.symmetry
-let context s = s.syn
+
+let session_solver_vars s = Sat.Solver.nvars (Ctx.solver s.syn)
 
 let session_stats s : Report.Stats.t =
   {

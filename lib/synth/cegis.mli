@@ -67,6 +67,14 @@ type symmetry =
     the Griesmer bound allows, [sum_(i<k) ceil(md / 2^i) - k]. *)
 val griesmer_check_len : data_len:int -> min_distance:int -> int
 
+(** The order {!create_session} puts on P: [No_order] when the problem has
+    [extra] constraints, [Rows_cols] when its check length is at most
+    {!griesmer_check_len}, and [Rows] above it.  It reads nothing but the
+    [problem] record, so a replay of the same problem runs the same
+    search.  The [cegis.session] telemetry point carries it as
+    [symmetry]: ["none"], ["rows"] or ["rows+cols"]. *)
+val symmetry_of_problem : problem -> symmetry
+
 (** A resumable CEGIS run: the synthesizer context plus counters.  One
     {!step} call performs exactly one iteration of Algorithm 1, so callers
     (the sequential driver, the parallel portfolio) own the loop and can
@@ -101,17 +109,6 @@ val create_session :
     [check_len] columns). *)
 val matrix_vars : session -> Smtlite.Expr.t array array
 
-(** The order {!create_session} put on P: [No_order] when the problem has
-    [extra] constraints, [Rows_cols] when its check length is at most
-    {!griesmer_check_len}, and [Rows] above it.  The choice reads nothing
-    but the [problem] record, so a replay of the same problem runs the
-    same search.  The [cegis.session] telemetry point carries it as
-    [symmetry]: ["none"], ["rows"] or ["rows+cols"]. *)
-val symmetry : session -> symmetry
-
-(** The synthesizer context, for inspecting its size. *)
-val context : session -> Smtlite.Ctx.t
-
 (** One CEGIS iteration: solve for a candidate, verify it, learn the
     counterexample on failure. *)
 type step_result =
@@ -132,6 +129,10 @@ val learn : session -> cex -> unit
 
 (** Statistics of the session so far. *)
 val session_stats : session -> Report.Stats.t
+
+(** SAT variables the synthesizer has allocated so far: the matrix bits,
+    the symmetry order's and the counterexamples' auxiliary variables. *)
+val session_solver_vars : session -> int
 
 (** [session_best session] is the best refuted candidate so far together
     with its verified distance bound: the refuting witness's codeword

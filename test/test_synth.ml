@@ -376,8 +376,6 @@ let test_mixed_orientation_fails () =
   Alcotest.(check bool) "row-0-first column order loses an answer" true
     (double_lex_disagreements ~last_row_first:false <> [])
 
-let solver_vars s = Sat.Solver.nvars (Smtlite.Ctx.solver (Cegis.context s))
-
 let pure ~k ~c ~m =
   { Cegis.data_len = k; check_len = c; min_distance = m; extra = [] }
 
@@ -389,7 +387,7 @@ let test_double_lex_at_bound () =
         (Printf.sprintf "k %d md %d bound" k m)
         (griesmer ~k ~d:m - k) bound;
       if bound >= 1 then begin
-        let at c = Cegis.symmetry (Cegis.create_session (pure ~k ~c ~m)) in
+        let at c = Cegis.symmetry_of_problem (pure ~k ~c ~m) in
         Alcotest.(check bool)
           (Printf.sprintf "k %d md %d: rows+cols at c = %d" k m bound)
           true
@@ -417,10 +415,11 @@ let test_double_lex_at_bound () =
         if c >= 2 && Cegis.griesmer_check_len ~data_len:k ~min_distance:m_off = c - 1
         then begin
           incr pairs;
-          let on = Cegis.create_session (pure ~k ~c ~m:m_on) in
-          let off = Cegis.create_session (pure ~k ~c ~m:m_off) in
+          let on = pure ~k ~c ~m:m_on and off = pure ~k ~c ~m:m_off in
           Alcotest.(check bool) "orders" true
-            (Cegis.symmetry on = Cegis.Rows_cols && Cegis.symmetry off = Cegis.Rows);
+            (Cegis.symmetry_of_problem on = Cegis.Rows_cols
+            && Cegis.symmetry_of_problem off = Cegis.Rows);
+          let solver_vars p = Cegis.session_solver_vars (Cegis.create_session p) in
           Alcotest.(check int)
             (Printf.sprintf "(%d,%d) md %d vs %d: column-order variables" k c m_on m_off)
             ((c - 1) * ((4 * k) - 3))
