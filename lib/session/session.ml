@@ -54,19 +54,7 @@ let default_request job =
 
 type resumed = { cex_count : int; prior_iterations : int; start_check : int }
 
-type outcome =
-  | Codes of Hamming.Code.t list * Report.Stats.t
-  | Optimized of Synth.Optimize.check_result * Report.Stats.t
-  | Setbits of Synth.Optimize.setbits_step list
-  | Weighted of Synth.Weighted.result
-  | Partial of {
-      code : Hamming.Code.t;
-      achieved : int;
-      check_len : int option;
-      stats : Report.Stats.t;
-    }
-  | Unsat of { reason : string; stats : Report.Stats.t option }
-  | Timeout of { reason : string; stats : Report.Stats.t option }
+include Synth.Outcome
 
 type result = {
   outcome : outcome;
@@ -82,10 +70,15 @@ exception Invalid_request of string
 
 (* ---------- exit-code contract ---------- *)
 
-let exit_unsat = 3
-let exit_timeout = 4
-let exit_partial = 5
-let exit_interrupted = 130
+(* An outcome, and whether the run was interrupted, decide the ledger
+   outcome string and the exit code. *)
+let verdict outcome ~interrupted =
+  match outcome with
+  | Codes _ | Optimized _ | Setbits _ | Weighted _ -> ("synthesized", 0)
+  | Unsat _ -> ("unsat", 3)
+  | (Partial _ | Timeout _) when interrupted -> ("interrupted", 130)
+  | Partial _ -> ("partial", 5)
+  | Timeout _ -> ("timeout", 4)
 
 (* ---------- interrupts ---------- *)
 
@@ -118,37 +111,41 @@ let load_prop spec =
     Spec.Parse.prop_file (read_file (String.sub spec 1 (String.length spec - 1)))
   else Spec.Parse.prop spec
 
-(* Expected failures (parse errors, missing files, corrupt checkpoints)
-   settle the ledger record as error/2 — matching the CLI's top-level
-   handlers, which render the message — then re-raise.  Anything
-   unexpected propagates with the record pending, and the at_exit hook
-   records it as a crash. *)
-let guarded token f =
-  try f ()
-  with (Failure _ | Sys_error _ | Spec.Parse.Error _ | Invalid_argument _) as e
-  ->
-    Recorder.finish token ~outcome:"error" ~exit_code:2 ();
-    raise e
-
 let invalid token msg =
   Recorder.finish token ~outcome:"error" ~exit_code:124 ();
   raise (Invalid_request msg)
+
+(* Expected failures (parse errors, missing files, corrupt checkpoints)
+   settle the ledger record as error/2 — matching the CLI's top-level
+   handlers, which render the message — then re-raise; a task outside
+   the supported fragment settles it as error/124.  Anything unexpected
+   propagates with the record pending, and the at_exit hook records it
+   as a crash. *)
+let guarded token f =
+  try f () with
+  | Synth.Driver.Unsupported msg -> invalid token ("no solution: " ^ msg)
+  | (Failure _ | Sys_error _ | Spec.Parse.Error _ | Invalid_argument _) as e ->
+      Recorder.finish token ~outcome:"error" ~exit_code:2 ();
+      raise e
 
 let hit_stats (e : Cache.entry) =
   { Report.Stats.zero with iterations = e.iterations; elapsed = e.elapsed }
 
 (* A checkpoint writer carrying resumed state forward, feeding every
-   newly learned counterexample and the running iteration count. *)
-let make_writer ~checkpoint ~data_len ~check_len ~md ~initial ~resumed_iters =
+   newly learned counterexample, the running iteration count and the
+   check length the walk has reached. *)
+let make_writer ~checkpoint (s : Synth.Driver.single) ~initial ~resumed_iters
+    ~bound =
   match checkpoint with
   | None -> None
   | Some path ->
       let w =
-        Synth.Checkpoint.Writer.create ~path ~data_len ~check_len
-          ~min_distance:md ()
+        Synth.Checkpoint.Writer.create ~path ~data_len:s.data_len
+          ~check_len:s.check_lo ~min_distance:s.md ()
       in
       List.iter (Synth.Checkpoint.Writer.record_cex w) initial;
       Synth.Checkpoint.Writer.record_iterations w resumed_iters;
+      Synth.Checkpoint.Writer.record_bound w bound;
       Some w
 
 let writer_on_cex writer iters =
@@ -159,10 +156,6 @@ let writer_on_cex writer iters =
         Synth.Checkpoint.Writer.record_cex w cex;
         Synth.Checkpoint.Writer.record_iterations w
           (1 + Atomic.fetch_and_add iters 1)
-
-let flush_writer = function
-  | Some w -> Synth.Checkpoint.Writer.flush w
-  | None -> ()
 
 (* ---------- cache plumbing ---------- *)
 
@@ -260,120 +253,162 @@ let cache_metric request ctx hit metrics =
   | None -> metrics
   | Some _ -> metrics @ [ ("cache_hit", if hit then 1.0 else 0.0) ]
 
-(* ---------- the synth job ---------- *)
+(* ---------- the one pipeline ---------- *)
 
-let run_synth ?on_report ~intr ~t0 request ~prop_spec ~weights ~portfolio ~jobs
-    =
+(* The stats an outcome carries into the ledger record. *)
+let outcome_stats = function
+  | Codes (_, s) | Optimized (_, s) | Partial { stats = s; _ } -> Some s
+  | Unsat { stats; _ } | Timeout { stats; _ } -> stats
+  | Setbits steps ->
+      Some (Report.Stats.sum (List.map (fun s -> s.Synth.Optimize.step_stats) steps))
+  | Weighted _ -> None
+
+(* The ledger metrics of a solved (not cached) outcome. *)
+let outcome_metrics outcome =
+  match (outcome, outcome_stats outcome) with
+  | Weighted r, _ ->
+      [
+        ("stats.iterations", float_of_int r.Synth.Weighted.iterations);
+        ("stats.elapsed_s", r.Synth.Weighted.elapsed);
+      ]
+  | _, Some s -> Report.Stats.to_metrics s
+  | _, None -> []
+
+(* The job-specific half of the ledger record: its problem text and
+   config entries. *)
+let ledger_problem = function
+  | Synth { prop; weights; portfolio; jobs } ->
+      ( prop,
+        [ ("portfolio", string_of_bool portfolio); ("jobs", string_of_int jobs) ]
+        @ if weights = None then [] else [ ("weights", "yes") ] )
+  | Optimize { data_len; md; check_lo; check_hi } ->
+      ( Printf.sprintf "data_len=%d md=%d check=%d..%d" data_len md check_lo
+          check_hi,
+        [] )
+
+(* The task a job asks for, with its weights and portfolio width; an
+   optimize job is a minimal(len_c) walk without pins or a len_1 bound. *)
+let analyze = function
+  | Synth { prop; weights; portfolio; jobs } ->
+      ( Synth.Driver.analyze (load_prop prop),
+        weights,
+        if portfolio then Some jobs else None )
+  | Optimize { data_len; md; check_lo; check_hi } ->
+      ( Ok
+          (Synth.Driver.Min_check_len
+             { data_len; check_lo; check_hi; md; len1_max = None; fixed_bits = [] }),
+        None,
+        None )
+
+(* record start -> analyze -> cache -> resume/warm/writer -> solve ->
+   record *)
+let run_job ?on_report ~intr ~t0 request =
+  let problem, job_config = ledger_problem request.job in
+  let entry key = function Some v -> [ (key, v) ] | None -> [] in
   let token =
     Recorder.start ~no_ledger:request.no_ledger ?dir:request.ledger_dir
-      ~subcommand:request.subcommand ~problem:prop_spec
+      ~subcommand:request.subcommand ~problem
       ~config:
-        ([
-           ("timeout", string_of_float request.timeout);
-           ("portfolio", string_of_bool portfolio);
-           ("jobs", string_of_int jobs);
-         ]
-        @ (match weights with Some _ -> [ ("weights", "yes") ] | None -> [])
-        @ (match request.checkpoint with
-          | Some p -> [ ("checkpoint", p) ]
-          | None -> [])
-        @ (match request.resume with Some p -> [ ("resume", p) ] | None -> [])
-        @
-        match request.request_id with
-        | Some r -> [ ("request", r) ]
-        | None -> [])
+        ((("timeout", string_of_float request.timeout) :: job_config)
+        @ entry "checkpoint" request.checkpoint
+        @ entry "resume" request.resume
+        @ entry "request" request.request_id)
       ()
   in
   guarded token @@ fun () ->
-  let prop = load_prop prop_spec in
-  let jobs_opt = if portfolio then Some jobs else None in
+  let task, weights, jobs = analyze request.job in
   (* checkpointing and caching need a single-generator task so the
      problem shape the pool belongs to is known up front *)
-  let task = Synth.Driver.analyze prop in
   let single =
     match task with
-    | Ok (Synth.Driver.Fixed s) | Ok (Synth.Driver.Min_check_len s) -> Some s
+    | Ok (Synth.Driver.Fixed s | Synth.Driver.Min_check_len s) -> Some s
     | Ok _ | Error _ -> None
   in
   if (request.checkpoint <> None || request.resume <> None) && single = None
   then invalid token "--checkpoint/--resume support single-generator tasks only";
-  let ctx =
-    match task with
-    | Ok t when single <> None -> cache_ctx request t ~weights
-    | _ -> None
+  let task =
+    match task with Ok t -> t | Error msg -> raise (Synth.Driver.Unsupported msg)
+  in
+  let ctx = cache_ctx request task ~weights in
+  let finish ~hit ?resumed ?report outcome =
+    (* the optimize job reports its walk's generator with the length *)
+    let outcome =
+      match (request.job, outcome) with
+      | Optimize _, Codes ([ code ], stats) ->
+          Optimized
+            ({ Synth.Optimize.code; check_len = Hamming.Code.check_len code; stats }, stats)
+      | _ -> outcome
+    in
+    let interrupted = (not hit) && intr () in
+    let name, exit_code = verdict outcome ~interrupted in
+    let stats = outcome_stats outcome in
+    Recorder.finish token
+      ?stats:(Option.map Report.Stats.to_json stats)
+      ~metrics:(cache_metric request ctx hit (if hit then [] else outcome_metrics outcome))
+      ~cache_hit:hit ~outcome:name ~exit_code ();
+    {
+      outcome;
+      cache_hit = hit;
+      interrupted;
+      resumed;
+      report;
+      wall_s = Unix.gettimeofday () -. t0;
+      exit_code;
+    }
   in
   match cache_lookup ctx with
-  | Some entry ->
-      let stats = hit_stats entry in
-      Recorder.finish token
-        ~stats:(Report.Stats.to_json stats)
-        ~metrics:(cache_metric request ctx true [])
-        ~cache_hit:true ~outcome:"synthesized" ~exit_code:0 ();
-      {
-        outcome = Codes ([ entry.Cache.code ], stats);
-        cache_hit = true;
-        interrupted = false;
-        resumed = None;
-        report = None;
-        wall_s = Unix.gettimeofday () -. t0;
-        exit_code = 0;
-      }
+  | Some entry -> finish ~hit:true (Codes ([ entry.Cache.code ], hit_stats entry))
   | None ->
-      let initial, resumed_iters =
-        match request.resume with
-        | None -> ([], 0)
-        | Some path -> (
+      (* a resumed walk replays the pool and starts at the check length
+         its checkpoint reached *)
+      let initial, resumed_iters, start =
+        match (request.resume, single) with
+        | Some path, Some s -> (
             match Synth.Checkpoint.load ~path with
             | Error e ->
-                failwith
-                  ("cannot resume: " ^ Synth.Checkpoint.error_to_string e)
+                failwith ("cannot resume: " ^ Synth.Checkpoint.error_to_string e)
             | Ok t ->
-                let s = Option.get single in
-                if
-                  t.Synth.Checkpoint.data_len <> s.Synth.Driver.data_len
-                  || t.Synth.Checkpoint.min_distance <> s.Synth.Driver.md
-                then
+                if t.data_len <> s.data_len || t.min_distance <> s.md then
                   failwith
                     (Printf.sprintf
                        "cannot resume: checkpoint is for data_len %d md %d \
                         but the specification wants data_len %d md %d"
-                       t.Synth.Checkpoint.data_len
-                       t.Synth.Checkpoint.min_distance s.Synth.Driver.data_len
-                       s.Synth.Driver.md);
-                (t.Synth.Checkpoint.cexes, t.Synth.Checkpoint.iterations))
+                       t.data_len t.min_distance s.data_len s.md);
+                ( t.cexes,
+                  t.iterations,
+                  max s.check_lo (Option.value t.opt_bound ~default:0) ))
+        | _, Some s -> ([], 0, s.check_lo)
+        | _, None -> ([], 0, 0)
+      in
+      let task =
+        match task with
+        | Synth.Driver.Fixed s -> Synth.Driver.Fixed { s with check_lo = start }
+        | Synth.Driver.Min_check_len s ->
+            Synth.Driver.Min_check_len { s with check_lo = start }
+        | t -> t
       in
       let resumed =
-        match request.resume with
-        | None -> None
-        | Some _ ->
-            Some
-              {
-                cex_count = List.length initial;
-                prior_iterations = resumed_iters;
-                start_check =
-                  (match single with
-                  | Some s -> s.Synth.Driver.check_lo
-                  | None -> 0);
-              }
+        Option.map
+          (fun _ ->
+            {
+              cex_count = List.length initial;
+              prior_iterations = resumed_iters;
+              start_check = start;
+            })
+          request.resume
       in
       (* warm-start counterexamples from compatible cached pools ride
          along with the resumed ones but are invisible to the resume
          banner and the checkpoint being written *)
       let warm =
         match (ctx, single) with
-        | Some c, Some s ->
-            Cache.warm_start ~dir:c.c_dir ~data_len:s.Synth.Driver.data_len
-              ~md:s.Synth.Driver.md
+        | Some c, Some s -> Cache.warm_start ~dir:c.c_dir ~data_len:s.data_len ~md:s.md
         | _ -> []
       in
       let writer =
-        match single with
-        | Some s ->
-            make_writer ~checkpoint:request.checkpoint
-              ~data_len:s.Synth.Driver.data_len
-              ~check_len:s.Synth.Driver.check_lo ~md:s.Synth.Driver.md
-              ~initial ~resumed_iters
-        | None -> None
+        Option.bind single (fun s ->
+            make_writer ~checkpoint:request.checkpoint s ~initial ~resumed_iters
+              ~bound:start)
       in
       let iters = Atomic.make resumed_iters in
       let learned = ref [] in
@@ -382,6 +417,7 @@ let run_synth ?on_report ~intr ~t0 request ~prop_spec ~weights ~portfolio ~jobs
         learned := cex :: !learned;
         record_cex cex
       in
+      let on_round c = Option.iter (fun w -> Synth.Checkpoint.Writer.record_bound w c) writer in
       let last_report = ref None in
       let on_report r =
         last_report := Some r;
@@ -390,293 +426,25 @@ let run_synth ?on_report ~intr ~t0 request ~prop_spec ~weights ~portfolio ~jobs
       let outcome =
         Observe.with_observability ~trace:request.trace
           ~metrics:request.metrics ~progress:request.progress (fun () ->
-            Synth.Driver.run ~timeout:request.timeout ?weights ?jobs:jobs_opt
-              ~on_report ~interrupt:intr ~initial:(initial @ warm) ~on_cex prop)
+            Synth.Driver.run ~timeout:request.timeout ?weights ?jobs ~on_report
+              ~interrupt:intr ~initial:(initial @ warm) ~on_cex ~on_round task)
       in
-      flush_writer writer;
-      (match single with
-      | Some s ->
-          cache_save_pool ctx ~data_len:s.Synth.Driver.data_len
-            ~check_len:s.Synth.Driver.check_lo ~md:s.Synth.Driver.md
-            (initial @ List.rev !learned)
-      | None -> ());
-      let finish ?stats ?(metrics = []) ~outcome:o ~exit_code () =
-        Recorder.finish token ?stats
-          ~metrics:(cache_metric request ctx false metrics)
-          ~outcome:o ~exit_code ()
-      in
-      let mk outcome ~exit_code =
-        {
-          outcome;
-          cache_hit = false;
-          interrupted = intr ();
-          resumed;
-          report = !last_report;
-          wall_s = Unix.gettimeofday () -. t0;
-          exit_code;
-        }
-      in
-      (match outcome with
-      | Synth.Driver.Codes (codes, stats) ->
-          finish
-            ~stats:(Report.Stats.to_json stats)
-            ~metrics:(Report.Stats.to_metrics stats)
-            ~outcome:"synthesized" ~exit_code:0 ();
-          (match (codes, single) with
-          | [ code ], Some s ->
-              cache_store ctx ~code ~md:s.Synth.Driver.md
-                ~iterations:stats.Report.Stats.iterations
-                ~elapsed:stats.Report.Stats.elapsed
-          | _ -> ());
-          mk (Codes (codes, stats)) ~exit_code:0
-      | Synth.Driver.Setbits_walk steps ->
-          let walk_totals =
-            Report.Stats.sum
-              (List.map (fun s -> s.Synth.Optimize.step_stats) steps)
-          in
-          finish
-            ~stats:(Report.Stats.to_json walk_totals)
-            ~metrics:(Report.Stats.to_metrics walk_totals)
-            ~outcome:"synthesized" ~exit_code:0 ();
-          mk (Setbits steps) ~exit_code:0
-      | Synth.Driver.Weighted_result r ->
-          finish
-            ~metrics:
-              [
-                ("stats.iterations", float_of_int r.Synth.Weighted.iterations);
-                ("stats.elapsed_s", r.Synth.Weighted.elapsed);
-              ]
-            ~outcome:"synthesized" ~exit_code:0 ();
-          mk (Weighted r) ~exit_code:0
-      | Synth.Driver.Partial_code (code, stats) ->
-          (* anytime result: the candidate is real but its distance
-             target was never verified — recompute the achieved bound
-             before reporting *)
-          let achieved = Hamming.Distance.min_distance code in
-          let exit_code = if intr () then exit_interrupted else exit_partial in
-          finish
-            ~stats:(Report.Stats.to_json stats)
-            ~metrics:(Report.Stats.to_metrics stats)
-            ~outcome:(if intr () then "interrupted" else "partial")
-            ~exit_code ();
-          (match writer with
-          | Some w ->
-              Synth.Checkpoint.Writer.record_best w code achieved;
-              Synth.Checkpoint.Writer.flush w
-          | None -> ());
-          mk (Partial { code; achieved; check_len = None; stats }) ~exit_code
-      | Synth.Driver.Unsat msg ->
-          finish ~outcome:"unsat" ~exit_code:exit_unsat ();
-          mk (Unsat { reason = msg; stats = None }) ~exit_code:exit_unsat
-      | Synth.Driver.Timeout msg ->
-          let exit_code = if intr () then exit_interrupted else exit_timeout in
-          finish
-            ~outcome:(if intr () then "interrupted" else "timeout")
-            ~exit_code ();
-          mk (Timeout { reason = msg; stats = None }) ~exit_code
-      | Synth.Driver.No_solution msg ->
-          invalid token ("no solution: " ^ msg))
-
-(* ---------- the optimize job ---------- *)
-
-let run_optimize ~intr ~t0 request ~data_len ~md ~check_lo ~check_hi =
-  let token =
-    Recorder.start ~no_ledger:request.no_ledger ?dir:request.ledger_dir
-      ~subcommand:request.subcommand
-      ~problem:
-        (Printf.sprintf "data_len=%d md=%d check=%d..%d" data_len md check_lo
-           check_hi)
-      ~config:
-        ([ ("timeout", string_of_float request.timeout) ]
-        @ (match request.checkpoint with
-          | Some p -> [ ("checkpoint", p) ]
-          | None -> [])
-        @ (match request.resume with Some p -> [ ("resume", p) ] | None -> [])
-        @
-        match request.request_id with
-        | Some r -> [ ("request", r) ]
-        | None -> [])
-      ()
-  in
-  guarded token @@ fun () ->
-  let task =
-    Synth.Driver.Min_check_len
-      {
-        Synth.Driver.data_len;
-        check_lo;
-        check_hi;
-        md;
-        len1_max = None;
-        fixed_bits = [];
-      }
-  in
-  let ctx = cache_ctx request task ~weights:None in
-  match cache_lookup ctx with
-  | Some entry ->
-      let stats = hit_stats entry in
-      Recorder.finish token
-        ~stats:(Report.Stats.to_json stats)
-        ~metrics:(cache_metric request ctx true [])
-        ~cache_hit:true ~outcome:"synthesized" ~exit_code:0 ();
-      {
-        outcome =
-          Optimized
-            ( {
-                Synth.Optimize.code = entry.Cache.code;
-                check_len = entry.Cache.check_len;
-                stats;
-              },
-              stats );
-        cache_hit = true;
-        interrupted = false;
-        resumed = None;
-        report = None;
-        wall_s = Unix.gettimeofday () -. t0;
-        exit_code = 0;
-      }
-  | None ->
-      let initial, start_lo, resumed_iters =
-        match request.resume with
-        | None -> ([], check_lo, 0)
-        | Some path -> (
-            match Synth.Checkpoint.load ~path with
-            | Error e ->
-                failwith
-                  ("cannot resume: " ^ Synth.Checkpoint.error_to_string e)
-            | Ok t ->
-                if
-                  t.Synth.Checkpoint.data_len <> data_len
-                  || t.Synth.Checkpoint.min_distance <> md
-                then
-                  failwith
-                    (Printf.sprintf
-                       "cannot resume: checkpoint is for data_len %d md %d \
-                        but the command line wants data_len %d md %d"
-                       t.Synth.Checkpoint.data_len
-                       t.Synth.Checkpoint.min_distance data_len md);
-                let lo =
-                  match t.Synth.Checkpoint.opt_bound with
-                  | Some b -> max check_lo b
-                  | None -> check_lo
-                in
-                (t.Synth.Checkpoint.cexes, lo, t.Synth.Checkpoint.iterations))
-      in
-      let resumed =
-        match request.resume with
-        | None -> None
-        | Some _ ->
-            Some
-              {
-                cex_count = List.length initial;
-                prior_iterations = resumed_iters;
-                start_check = start_lo;
-              }
-      in
-      let warm =
-        match ctx with
-        | Some c -> Cache.warm_start ~dir:c.c_dir ~data_len ~md
-        | None -> []
-      in
-      let writer =
-        make_writer ~checkpoint:request.checkpoint ~data_len
-          ~check_len:check_lo ~md ~initial ~resumed_iters
-      in
-      (match writer with
-      | Some w -> Synth.Checkpoint.Writer.record_bound w start_lo
-      | None -> ());
-      let iters = Atomic.make resumed_iters in
-      let learned = ref [] in
-      let record_cex = writer_on_cex writer iters in
-      let on_cex cex =
-        learned := cex :: !learned;
-        record_cex cex
-      in
-      let on_round c =
-        match writer with
-        | None -> ()
-        | Some w -> Synth.Checkpoint.Writer.record_bound w c
-      in
-      let outcome =
-        Observe.with_observability ~trace:request.trace
-          ~metrics:request.metrics ~progress:request.progress (fun () ->
-            Synth.Optimize.minimize_check_len ~timeout:request.timeout
-              ~interrupt:intr ~initial:(initial @ warm) ~on_round ~on_cex
-              ~data_len ~md ~check_lo:start_lo ~check_hi ())
-      in
-      flush_writer writer;
-      cache_save_pool ctx ~data_len ~check_len:check_lo ~md
-        (initial @ List.rev !learned);
-      let finish ?stats ?(metrics = []) ~outcome:o ~exit_code () =
-        Recorder.finish token ?stats
-          ~metrics:(cache_metric request ctx false metrics)
-          ~outcome:o ~exit_code ()
-      in
-      let mk outcome ~exit_code =
-        {
-          outcome;
-          cache_hit = false;
-          interrupted = intr ();
-          resumed;
-          report = None;
-          wall_s = Unix.gettimeofday () -. t0;
-          exit_code;
-        }
-      in
-      (match outcome with
-      | Report.Synthesized (r, totals) ->
-          finish
-            ~stats:(Report.Stats.to_json totals)
-            ~metrics:(Report.Stats.to_metrics totals)
-            ~outcome:"synthesized" ~exit_code:0 ();
-          cache_store ctx ~code:r.Synth.Optimize.code ~md
-            ~iterations:totals.Report.Stats.iterations
-            ~elapsed:totals.Report.Stats.elapsed;
-          mk (Optimized (r, totals)) ~exit_code:0
-      | Report.Unsat_config totals ->
-          finish
-            ~stats:(Report.Stats.to_json totals)
-            ~metrics:(Report.Stats.to_metrics totals)
-            ~outcome:"unsat" ~exit_code:exit_unsat ();
-          mk
-            (Unsat
-               {
-                 reason =
-                   Printf.sprintf "no check length in %d..%d reaches md %d"
-                     start_lo check_hi md;
-                 stats = Some totals;
-               })
-            ~exit_code:exit_unsat
-      | Report.Timed_out totals ->
-          let exit_code = if intr () then exit_interrupted else exit_timeout in
-          finish
-            ~stats:(Report.Stats.to_json totals)
-            ~metrics:(Report.Stats.to_metrics totals)
-            ~outcome:(if intr () then "interrupted" else "timeout")
-            ~exit_code ();
-          mk (Timeout { reason = ""; stats = Some totals }) ~exit_code
-      | Report.Partial (r, totals) ->
-          let code = r.Synth.Optimize.code in
-          let achieved = Hamming.Distance.min_distance code in
-          let exit_code = if intr () then exit_interrupted else exit_partial in
-          finish
-            ~stats:(Report.Stats.to_json totals)
-            ~metrics:(Report.Stats.to_metrics totals)
-            ~outcome:(if intr () then "interrupted" else "partial")
-            ~exit_code ();
-          (match writer with
-          | Some w ->
-              Synth.Checkpoint.Writer.record_best w code achieved;
-              Synth.Checkpoint.Writer.flush w
-          | None -> ());
-          mk
-            (Partial
-               {
-                 code;
-                 achieved;
-                 check_len = Some r.Synth.Optimize.check_len;
-                 stats = totals;
-               })
-            ~exit_code)
+      Option.iter Synth.Checkpoint.Writer.flush writer;
+      Option.iter
+        (fun (s : Synth.Driver.single) ->
+          cache_save_pool ctx ~data_len:s.data_len ~check_len:s.check_lo ~md:s.md
+            (initial @ List.rev !learned))
+        single;
+      let result = finish ~hit:false ?resumed ?report:!last_report outcome in
+      (match (outcome, single, writer) with
+      | Codes ([ code ], stats), Some s, _ ->
+          cache_store ctx ~code ~md:s.md ~iterations:stats.Report.Stats.iterations
+            ~elapsed:stats.Report.Stats.elapsed
+      | Partial { code; achieved; _ }, _, Some w ->
+          Synth.Checkpoint.Writer.record_best w code achieved;
+          Synth.Checkpoint.Writer.flush w
+      | _ -> ());
+      result
 
 (* ---------- the public entry point ---------- *)
 
@@ -704,12 +472,7 @@ let run_sync ?on_report ?cancel request =
     ~finally:(fun () -> if owned_lens then Telemetry.Runtime.stop ())
     (fun () ->
       Smtlite.Expr.with_scope (Smtlite.Expr.new_scope ()) @@ fun () ->
-      match request.job with
-      | Synth { prop; weights; portfolio; jobs } ->
-          run_synth ?on_report ~intr ~t0 request ~prop_spec:prop ~weights
-            ~portfolio ~jobs
-      | Optimize { data_len; md; check_lo; check_hi } ->
-          run_optimize ~intr ~t0 request ~data_len ~md ~check_lo ~check_hi)
+      run_job ?on_report ~intr ~t0 request)
 
 (* ---------- the concurrent session manager ---------- *)
 

@@ -8,7 +8,14 @@
     bounded admission queue (the [fecsynth serve] engine).  The CLI
     [synth]/[optimize] subcommands are thin clients of {!run_sync}:
     argument parsing and rendering stay in the binary, everything
-    behavioral lives here. *)
+    behavioral lives here.
+
+    Both jobs run through one staged pipeline: record start, analyze
+    (an [Optimize] job is a [minimal(len_c)] task without pins or a
+    [len_1] bound), cache lookup, resume/warm start/checkpoint writer,
+    solve ({!Synth.Driver.run}), record.  Only the ledger problem and
+    config entries and the wrapping of an optimize answer as
+    [Optimized] depend on the job. *)
 
 (** {1 Requests} *)
 
@@ -63,22 +70,11 @@ val default_request : job -> request
 (** What a resumed run started from (for the CLI's resume banner). *)
 type resumed = { cex_count : int; prior_iterations : int; start_check : int }
 
-type outcome =
-  | Codes of Hamming.Code.t list * Synth.Report.Stats.t
-      (** verified generators (synth); a cache hit carries the original
-          run's stats *)
-  | Optimized of Synth.Optimize.check_result * Synth.Report.Stats.t
-      (** minimal check length found (optimize) *)
-  | Setbits of Synth.Optimize.setbits_step list
-  | Weighted of Synth.Weighted.result
-  | Partial of {
-      code : Hamming.Code.t;
-      achieved : int;  (** recomputed true minimum distance *)
-      check_len : int option;  (** the length the optimize walk died at *)
-      stats : Synth.Report.Stats.t;
-    }
-  | Unsat of { reason : string; stats : Synth.Report.Stats.t option }
-  | Timeout of { reason : string; stats : Synth.Report.Stats.t option }
+(** The job outcome, declared once in {!Synth.Outcome} and shared with
+    {!Synth.Driver.run}. *)
+include module type of struct
+  include Synth.Outcome
+end
 
 type result = {
   outcome : outcome;
@@ -111,8 +107,11 @@ val interrupted : unit -> bool
     completion in the calling thread, owning the ledger record, the
     checkpoint writer, cache lookup/population and telemetry routing.
     [cancel] is a per-request cooperative stop composed with the global
-    SIGINT flag.  Parse and I/O failures finish the ledger record as
-    [error]/2 and re-raise for the caller's error rendering. *)
+    SIGINT flag.  The exit code and the ledger outcome follow from the
+    outcome and whether the run was interrupted: 0 [synthesized], 3
+    [unsat], 4 [timeout], 5 [partial], 130 [interrupted].  Parse and
+    I/O failures finish the ledger record as [error]/2 and re-raise for
+    the caller's error rendering. *)
 val run_sync :
   ?on_report:(Synth.Portfolio.report -> unit) ->
   ?cancel:bool Atomic.t ->

@@ -358,8 +358,9 @@ let synthesize ?(timeout = 120.0) ?(cex_mode = Data_word)
   in
   let rec loop () =
     (* poll the budget here too: small instances can run whole iterations
-       without the solvers ever reaching an interrupt poll point *)
-    if Unix.gettimeofday () > deadline || genuine_interrupt () then
+       without the solvers ever reaching an interrupt poll point; a zero
+       budget is spent before the first step, even within one clock tick *)
+    if Unix.gettimeofday () >= deadline || genuine_interrupt () then
       out_of_budget ()
     else
       match step ~deadline s with

@@ -16,14 +16,7 @@ and single = {
   fixed_bits : (int * int * bool) list;
 }
 
-type outcome =
-  | Codes of Hamming.Code.t list * Report.Stats.t
-  | Weighted_result of Weighted.result
-  | Setbits_walk of Optimize.setbits_step list
-  | Partial_code of Hamming.Code.t * Report.Stats.t
-  | Unsat of string
-  | Timeout of string
-  | No_solution of string
+include Outcome
 
 (* constant folding for the config-level arithmetic of specifications *)
 let rec const_int : Ast.expr -> int option = function
@@ -237,9 +230,7 @@ let len1_constraint s =
       ]
 
 let run_single ?timeout ?jobs ?on_report ?(interrupt = fun () -> false)
-    ?(initial = []) ?(on_cex = fun (_ : Cegis.cex) -> ()) s =
-  (* walk the check-length interval upward; with a fixed length this is a
-     single configuration *)
+    ?(initial = []) ?(on_cex = fun (_ : Cegis.cex) -> ()) ?on_round ~walk s =
   let synthesize ~initial problem =
     match jobs with
     | None ->
@@ -251,28 +242,20 @@ let run_single ?timeout ?jobs ?on_report ?(interrupt = fun () -> false)
            statistics through the callback, collapse to the sequential
            outcome shape with worker-summed statistics (elapsed becomes the
            race's wall clock rather than summed solver time) *)
-        let stats_of (report : Portfolio.report) =
-          {
-            report.Portfolio.totals with
-            Report.Stats.elapsed = report.Portfolio.wall_clock;
-          }
+        let outcome =
+          Portfolio.synthesize ?timeout ~jobs ~interrupt ~initial ~on_cex
+            problem
         in
-        let collapse report outcome =
-          (match on_report with Some f -> f report | None -> ());
-          outcome
+        let report = Report.outcome_info outcome in
+        (match on_report with Some f -> f report | None -> ());
+        let stats =
+          { report.Portfolio.totals with Report.Stats.elapsed = report.Portfolio.wall_clock }
         in
-        (match
-           Portfolio.synthesize ?timeout ~jobs ~interrupt ~initial ~on_cex
-             problem
-         with
-        | Report.Synthesized (code, report) ->
-            collapse report (Report.Synthesized (code, stats_of report))
-        | Report.Unsat_config report ->
-            collapse report (Report.Unsat_config (stats_of report))
-        | Report.Timed_out report ->
-            collapse report (Report.Timed_out (stats_of report))
-        | Report.Partial (code, report) ->
-            collapse report (Report.Partial (code, stats_of report)))
+        match outcome with
+        | Report.Synthesized (code, _) -> Report.Synthesized (code, stats)
+        | Report.Unsat_config _ -> Report.Unsat_config stats
+        | Report.Timed_out _ -> Report.Timed_out stats
+        | Report.Partial (code, _) -> Report.Partial (code, stats)
   in
   (* resumed counterexamples must fit the configuration they are replayed
      into: raw data witnesses transfer to any check length, blocked
@@ -286,70 +269,76 @@ let run_single ?timeout ?jobs ?on_report ?(interrupt = fun () -> false)
   (* a pin no length in range can hold is an error naming the entry;
      lengths too short for the pins are skipped *)
   List.iter (check_pin s) s.fixed_bits;
-  let rec go c =
-    if c > s.check_hi then Unsat "no check length in range admits the spec"
-    else if interrupt () then Timeout "interrupted"
-    else
-      let extra =
-        fixed_bit_constraints { s with check_hi = c } @ len1_constraint { s with check_hi = c }
-      in
-      let problem =
-        { Cegis.data_len = s.data_len; check_len = c; min_distance = s.md; extra }
-      in
-      match synthesize ~initial:(List.filter (fits c) initial) problem with
-      | Report.Synthesized (code, stats) -> Codes ([ code ], stats)
-      | Report.Unsat_config _ -> go (c + 1)
-      | Report.Timed_out _ -> Timeout "synthesis budget exhausted"
-      | Report.Partial (code, stats) ->
-          (* budget or interrupt fired with a refuted-but-best candidate in
-             hand: surface it instead of discarding the work *)
-          Partial_code (code, stats)
+  let attempt c =
+    let extra =
+      fixed_bit_constraints { s with check_hi = c } @ len1_constraint { s with check_hi = c }
+    in
+    synthesize ~initial:(List.filter (fits c) initial)
+      { Cegis.data_len = s.data_len; check_len = c; min_distance = s.md; extra }
   in
-  go (max s.check_lo (pinned_check_len s))
+  match
+    Optimize.walk_check_len ~interrupt ?on_round ~steps:walk
+      ~check_lo:(max s.check_lo (pinned_check_len s)) ~check_hi:s.check_hi attempt
+  with
+  | Report.Synthesized (r, totals) -> Codes ([ r.Optimize.code ], totals)
+  | Report.Unsat_config totals ->
+      Unsat { reason = "no check length in range admits the spec"; stats = Some totals }
+  | Report.Timed_out totals ->
+      let reason = if interrupt () then "interrupted" else "synthesis budget exhausted" in
+      Timeout { reason; stats = Some totals }
+  | Report.Partial ({ Optimize.code; check_len; _ }, totals) ->
+      (* the candidate is real but its distance target was never
+         verified: recompute the achieved bound before reporting *)
+      Partial
+        {
+          code;
+          achieved = Hamming.Distance.min_distance code;
+          check_len = (if walk then Some check_len else None);
+          stats = totals;
+        }
 
-let run ?timeout ?weights ?p ?jobs ?on_report ?interrupt ?initial ?on_cex prop
-    =
-  match analyze prop with
-  | Error msg -> No_solution msg
-  | Ok (Fixed s) | Ok (Min_check_len s) ->
-      run_single ?timeout ?jobs ?on_report ?interrupt ?initial ?on_cex s
-  | Ok (Max_distance s) ->
+let run ?timeout ?weights ?p ?jobs ?on_report ?interrupt ?initial ?on_cex
+    ?on_round task =
+  match task with
+  | Fixed s | Min_check_len s ->
+      let walk = match task with Min_check_len _ -> true | _ -> false in
+      run_single ?timeout ?jobs ?on_report ?interrupt ?initial ?on_cex ?on_round
+        ~walk s
+  | Max_distance s ->
       (* grow the distance target until the configuration goes UNSAT; a
          fixed check length is required so "maximal" is well-defined *)
-      if s.check_lo <> s.check_hi then
-        No_solution "maximal(md) needs a fixed len_c"
-      else begin
-        let rec grow md best =
-          let problem =
-            {
-              Cegis.data_len = s.data_len;
-              check_len = s.check_lo;
-              min_distance = md;
-              extra = fixed_bit_constraints s @ len1_constraint s;
-            }
-          in
-          match Cegis.synthesize ?timeout ?interrupt problem with
-          | Report.Synthesized (code, stats) -> grow (md + 1) (Some (code, stats))
-          | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ -> best
+      if s.check_lo <> s.check_hi then unsupported "maximal(md) needs a fixed len_c";
+      let rec grow md best =
+        let problem =
+          {
+            Cegis.data_len = s.data_len;
+            check_len = s.check_lo;
+            min_distance = md;
+            extra = fixed_bit_constraints s @ len1_constraint s;
+          }
         in
-        match grow s.md None with
-        | Some (code, stats) -> Codes ([ code ], stats)
-        | None -> Unsat "even the base distance is unsatisfiable"
-      end
-  | Ok (Min_set_bits (s, start_bound)) -> (
+        match Cegis.synthesize ?timeout ?interrupt problem with
+        | Report.Synthesized (code, stats) -> grow (md + 1) (Some (code, stats))
+        | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ -> best
+      in
+      (match grow s.md None with
+      | Some (code, stats) -> Codes ([ code ], stats)
+      | None -> Unsat { reason = "even the base distance is unsatisfiable"; stats = None })
+  | Min_set_bits (s, start_bound) -> (
       if s.check_lo <> s.check_hi then
-        No_solution "set-bit minimization needs a fixed len_c"
-      else
-        match
-          Optimize.minimize_set_bits ?timeout ?interrupt ~data_len:s.data_len
-            ~check_len:s.check_lo ~md:s.md ~start_bound ~stop_bound:0 ()
-        with
-        | [] -> Unsat "no generator within the starting bound"
-        | steps -> Setbits_walk steps)
-  | Ok (Weighted_mapping (g0, g1)) -> (
-      match weights with
-      | None -> No_solution "weighted synthesis requires weights"
-      | Some weights -> (
-          match Weighted.optimize ?timeout ?p ~weights g0 g1 with
-          | Some r -> Weighted_result r
-          | None -> No_solution "no mapping found within the initial bound"))
+        unsupported "set-bit minimization needs a fixed len_c";
+      match
+        Optimize.minimize_set_bits ?timeout ?interrupt ~data_len:s.data_len
+          ~check_len:s.check_lo ~md:s.md ~start_bound ~stop_bound:0 ()
+      with
+      | [] -> Unsat { reason = "no generator within the starting bound"; stats = None }
+      | steps -> Setbits steps)
+  | Weighted_mapping (g0, g1) -> (
+      let weights =
+        match weights with
+        | Some w -> w
+        | None -> unsupported "weighted synthesis requires weights"
+      in
+      match Weighted.optimize ?timeout ?p ~weights g0 g1 with
+      | Some r -> Weighted r
+      | None -> unsupported "no mapping found within the initial bound")

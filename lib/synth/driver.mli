@@ -35,40 +35,37 @@ and single = {
     outside the supported fragment. *)
 val analyze : Spec.Ast.prop -> (task, string) Stdlib.result
 
-type outcome =
-  | Codes of Hamming.Code.t list * Report.Stats.t
-      (** fully verified generators meeting the specification *)
-  | Weighted_result of Weighted.result
-  | Setbits_walk of Optimize.setbits_step list
-  | Partial_code of Hamming.Code.t * Report.Stats.t
-      (** anytime result: the budget (deadline, interrupt) expired before a
-          verified generator was found, but at least one candidate had been
-          synthesized — this is the best of them by refuting-witness
-          weight.  Its true minimum distance is below the target and must
-          be recomputed by the consumer before any use. *)
-  | Unsat of string  (** the specification is proved unsatisfiable *)
-  | Timeout of string
-      (** the budget expired with no candidate to report *)
-  | No_solution of string
-      (** the specification is outside the supported fragment, or a
-          required out-of-band input (weights) is missing *)
+include module type of struct
+  include Outcome
+end
+
+(** The specification is outside the supported fragment, or a required
+    out-of-band input (weights) is missing. *)
+exception Unsupported of string
 
 (** [run ?timeout ?weights ?p ?jobs ?on_report ?interrupt ?initial ?on_cex
-    prop] analyzes and executes a specification.  [weights] are required
-    for weighted tasks.  [jobs] switches single-generator synthesis to the
-    {!Portfolio} racing [jobs] worker configurations; [on_report] receives
-    the portfolio report of each synthesis call (other task shapes run
-    sequentially regardless).
+    ?on_round task] executes an analyzed task, or raises {!Unsupported}.
+    [weights] are required for weighted tasks.  [jobs] switches
+    single-generator synthesis to the {!Portfolio} racing [jobs] worker
+    configurations; [on_report] receives the portfolio report of each
+    synthesis call (other task shapes run sequentially regardless).
+
+    [Fixed] and [Min_check_len] tasks share one check-length walk
+    ({!Optimize.walk_check_len}) from [check_lo] (raised to the shortest
+    length holding every pinned entry) to [check_hi]; the outcome's stats
+    are summed over every length tried.  Only a [Min_check_len] walk
+    emits [optimize.step] points.
 
     [interrupt] is polled cooperatively inside solver search; when it
-    returns [true] the run winds down and reports [Partial_code] if any
+    returns [true] the run winds down and reports [Partial] if any
     candidate was refuted, [Timeout] otherwise.  [initial] replays
     checkpointed counterexamples before the first candidate (witnesses
     that do not fit a configuration being attempted are skipped for that
-    configuration); [on_cex] observes every newly learned counterexample —
-    checkpoint writers hook in here.  Both are honoured by the
-    single-generator task shapes; objective walks accept [interrupt]
-    only. *)
+    configuration); [on_cex] observes every newly learned counterexample
+    and [on_round] every check length just before it is attempted —
+    checkpoint writers hook in here.  [initial], [on_cex] and [on_round]
+    are honoured by the single-generator task shapes; objective walks
+    accept [interrupt] only. *)
 val run :
   ?timeout:float ->
   ?weights:int array ->
@@ -78,5 +75,6 @@ val run :
   ?interrupt:(unit -> bool) ->
   ?initial:Cegis.cex list ->
   ?on_cex:(Cegis.cex -> unit) ->
-  Spec.Ast.prop ->
+  ?on_round:(int -> unit) ->
+  task ->
   outcome

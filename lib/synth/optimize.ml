@@ -18,44 +18,34 @@ let step_point ~walk ~param outcome =
           );
         ]
 
-(* Only raw data witnesses transfer across configurations: the weight
-   constraint a data word induces is implied by the specification for any
-   check length, whereas a candidate-shaped counterexample is tied to the
-   dimensions it was found at. *)
-let transferable_cexes cexes =
-  List.filter (function Cegis.Cex_data _ -> true | Cegis.Cex_candidate _ -> false)
-    cexes
-
-let minimize_check_len ?timeout ?cex_mode ?verifier ?encoding ?interrupt
-    ?(initial = []) ?on_round ?on_cex ~data_len ~md ~check_lo ~check_hi () =
-  let initial = transferable_cexes initial in
-  let on_progress = Option.map (fun f _session cex -> f cex) on_cex in
+let walk_check_len ?(interrupt = fun () -> false) ?on_round ?(steps = true)
+    ~check_lo ~check_hi attempt =
   let rec go c acc =
     if c > check_hi then Report.Unsat_config acc
+    else if interrupt () then Report.Timed_out acc
     else begin
       (match on_round with Some f -> f c | None -> ());
-      let problem =
-        { Cegis.data_len; check_len = c; min_distance = md; extra = [] }
-      in
-      let outcome =
-        Cegis.synthesize ?timeout ?cex_mode ?verifier ?encoding ?interrupt
-          ?on_progress ~initial problem
-      in
-      step_point ~walk:"check_len" ~param:c outcome;
+      let outcome = attempt c in
+      if steps then step_point ~walk:"check_len" ~param:c outcome;
+      let acc = Report.Stats.add acc (Report.outcome_info outcome) in
       match outcome with
-      | Report.Synthesized (code, stats) ->
-          let acc = Report.Stats.add acc stats in
+      | Report.Synthesized (code, _) ->
           Report.Synthesized ({ code; check_len = c; stats = acc }, acc)
-      | Report.Unsat_config stats -> go (c + 1) (Report.Stats.add acc stats)
-      | Report.Timed_out stats -> Report.Timed_out (Report.Stats.add acc stats)
-      | Report.Partial (code, stats) ->
+      | Report.Unsat_config _ -> go (c + 1) acc
+      | Report.Timed_out _ -> Report.Timed_out acc
+      | Report.Partial (code, _) ->
           (* the walk's budget died at check length [c], but its session
              saw a near-miss candidate: surface it as the anytime result *)
-          let acc = Report.Stats.add acc stats in
           Report.Partial ({ code; check_len = c; stats = acc }, acc)
     end
   in
   go check_lo Report.Stats.zero
+
+let minimize_check_len ?timeout ?cex_mode ?verifier ?encoding ?interrupt
+    ~data_len ~md ~check_lo ~check_hi () =
+  walk_check_len ?interrupt ~check_lo ~check_hi (fun c ->
+      Cegis.synthesize ?timeout ?cex_mode ?verifier ?encoding ?interrupt
+        { Cegis.data_len; check_len = c; min_distance = md; extra = [] })
 
 type setbits_step = {
   bound : int;

@@ -9,35 +9,44 @@ type check_result = {
   stats : Report.Stats.t;  (** totals across all configurations tried *)
 }
 
-(** [minimize_check_len ?timeout ?cex_mode ?verifier ~data_len ~md
-    ~check_lo ~check_hi ()] walks check lengths upward from [check_lo]:
+(** [walk_check_len ?interrupt ?on_round ?steps ~check_lo ~check_hi
+    attempt] is the one check-length walk (the outer loop of Algorithm 1):
+    it calls [attempt c] for [c = check_lo, check_lo + 1, ...] until an
+    attempt does not come back [Unsat_config], and sums the stats of every
+    attempt.  The outcome is
 
     - [Synthesized (r, totals)]: [r.check_len] is the first — hence
       minimal — synthesizable check length;
     - [Unsat_config totals]: every length up to [check_hi] is refuted;
-    - [Timed_out totals]: the budget died with nothing to show;
+    - [Timed_out totals]: the budget died with nothing to show, or
+      [interrupt] returned [true] before a length was attempted;
     - [Partial (r, totals)]: the budget died at [r.check_len], but the
       search saw the near-miss candidate [r.code] — its true minimum
-      distance is {e not} verified to reach [md] (callers recompute it to
-      report the achieved bound).
+      distance is {e not} verified to reach the target.
 
-    [interrupt] is polled cooperatively by the underlying CEGIS loops; an
-    interrupted walk returns [Partial]/[Timed_out] like an exhausted one.
-    [initial] transfers counterexamples from a previous run (only raw data
-    witnesses are configuration-independent; candidate-shaped entries are
-    dropped).  [on_round] fires with each check length just before it is
-    attempted — the checkpoint hook for resuming the walk where it
-    stopped; [on_cex] observes every counterexample learned in any round
-    (the checkpoint hook for the pool itself). *)
+    [on_round] fires with each check length just before it is attempted —
+    the checkpoint hook for resuming the walk where it stopped.  With
+    [steps] (the default) each attempt emits an [optimize.step] telemetry
+    point. *)
+val walk_check_len :
+  ?interrupt:(unit -> bool) ->
+  ?on_round:(int -> unit) ->
+  ?steps:bool ->
+  check_lo:int ->
+  check_hi:int ->
+  (int -> (Hamming.Code.t, Report.Stats.t) Report.outcome) ->
+  (check_result, Report.Stats.t) Report.outcome
+
+(** [minimize_check_len ?timeout ?cex_mode ?verifier ~data_len ~md
+    ~check_lo ~check_hi ()] is {!walk_check_len} over plain CEGIS
+    attempts for the target distance [md] (no extra constraints).
+    [interrupt] is also polled cooperatively by the CEGIS loops. *)
 val minimize_check_len :
   ?timeout:float ->
   ?cex_mode:Cegis.cex_mode ->
   ?verifier:Cegis.verifier_mode ->
   ?encoding:Smtlite.Card.encoding ->
   ?interrupt:(unit -> bool) ->
-  ?initial:Cegis.cex list ->
-  ?on_round:(int -> unit) ->
-  ?on_cex:(Cegis.cex -> unit) ->
   data_len:int ->
   md:int ->
   check_lo:int ->

@@ -96,9 +96,3 @@ let outcome_kind = function
 
 let outcome_info = function
   | Synthesized (_, i) | Unsat_config i | Timed_out i | Partial (_, i) -> i
-
-let map_outcome f g = function
-  | Synthesized (r, i) -> Synthesized (f r, g i)
-  | Unsat_config i -> Unsat_config (g i)
-  | Timed_out i -> Timed_out (g i)
-  | Partial (r, i) -> Partial (f r, g i)

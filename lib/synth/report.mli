@@ -1,13 +1,10 @@
-(** The single shared stats/outcome surface of the synthesis stack.
+(** The shared stats/outcome surface of the synthesis stack.
 
-    Before this module existed the same shapes were triplicated:
-    [Cegis.outcome], [Multibit_synth.outcome] and the optimize drivers each
-    re-declared [Synthesized]/[Unsat_config]/[Timed_out] around a private
-    copy of the stats record, and portfolio/optimize aggregation each
-    hand-rolled field-by-field summing.  Everything now goes through
-    {!Stats} (a commutative merge monoid under {!Stats.add} with identity
-    {!Stats.zero}) and the polymorphic {!outcome}; the old per-module type
-    names survive only as deprecated alias re-exports. *)
+    Every synthesis loop — CEGIS, the portfolio race, the multi-bit and
+    optimization drivers — reports its counters in one {!Stats} record (a
+    commutative merge monoid under {!Stats.add} with identity
+    {!Stats.zero}) and its result in the polymorphic {!outcome}; no
+    module declares a private copy of either. *)
 
 module Stats : sig
   (** Cumulative counters of one synthesis run (or a merge of several:
@@ -70,7 +67,3 @@ val outcome_kind : ('res, 'info) outcome -> string
 
 (** The diagnostics carried by any outcome. *)
 val outcome_info : ('res, 'info) outcome -> 'info
-
-(** [map_outcome f g o] transforms artifact and diagnostics. *)
-val map_outcome :
-  ('a -> 'b) -> ('i -> 'j) -> ('a, 'i) outcome -> ('b, 'j) outcome

@@ -193,7 +193,8 @@ let test_property_file_to_codec () =
        md(G[0]) = 3\n\
        minimal(len_c(G[0]))\n"
   in
-  match Synth.Driver.run ~timeout:60.0 prop with
+  let task = match Synth.Driver.analyze prop with Ok t -> t | Error e -> Alcotest.fail e in
+  match Synth.Driver.run ~timeout:60.0 task with
   | Synth.Driver.Codes ([ code ], _) ->
       let descriptor = Fec_core.Registry.describe_code code in
       let code' = Fec_core.Registry.code_of_string descriptor in

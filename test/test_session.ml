@@ -305,6 +305,87 @@ let test_run_sync_repeatable () =
     (counts ~k:12 ~c:15 ~md:7 ());
   Alcotest.(check int) "process-wide scope untouched" before (Expr.scope_size global)
 
+(* ---------- run_sync outcome table ---------- *)
+
+let prop_of ~k ~c ~md = Printf.sprintf "len_d(G[0]) = %d && len_c(G[0]) = %d && md(G[0]) = %d" k c md
+
+let synth_job prop = Session.Synth { prop; weights = None; portfolio = false; jobs = 1 }
+
+let walk_prop = "len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) <= 8 && md(G[0]) = 4 && minimal(len_c(G[0]))"
+
+(* run a request against a ledger of its own; the outcome string is read
+   back from what the run recorded *)
+let run_recorded ?(timeout = 60.0) ?cache_dir job =
+  let ledger = tmpdir () in
+  let request =
+    {
+      (Session.default_request job) with
+      Session.timeout;
+      ledger_dir = Some ledger;
+      cache = cache_dir <> None;
+      cache_dir;
+    }
+  in
+  let r = Session.run_sync request in
+  match Telemetry.Ledger.load ~dir:ledger with
+  | Ok { Telemetry.Ledger.entries = [ e ]; _ } -> (r, e)
+  | Ok _ -> Alcotest.fail "expected exactly one ledger record"
+  | Error e -> Alcotest.failf "ledger unreadable: %s" e
+
+let constructor = function
+  | Session.Codes _ -> "Codes"
+  | Session.Optimized _ -> "Optimized"
+  | Session.Setbits _ -> "Setbits"
+  | Session.Weighted _ -> "Weighted"
+  | Session.Partial _ -> "Partial"
+  | Session.Unsat _ -> "Unsat"
+  | Session.Timeout _ -> "Timeout"
+
+let test_outcome_table () =
+  let cache_dir = tmpdir () in
+  let cached = synth_job (prop_of ~k:4 ~c:3 ~md:3) in
+  ignore (run_recorded ~cache_dir cached);
+  List.iter
+    (fun (name, run, want, exit_code, ledger_outcome) ->
+      let r, e = run () in
+      Alcotest.(check string) (name ^ ": constructor") want (constructor r.Session.outcome);
+      Alcotest.(check int) (name ^ ": exit code") exit_code r.Session.exit_code;
+      Alcotest.(check int) (name ^ ": ledger exit code") exit_code e.Telemetry.Ledger.exit_code;
+      Alcotest.(check string) (name ^ ": ledger outcome") ledger_outcome e.Telemetry.Ledger.outcome)
+    [
+      ("synth fixed", (fun () -> run_recorded (synth_job (prop_of ~k:4 ~c:3 ~md:3))), "Codes", 0, "synthesized");
+      ("synth minimal(len_c)", (fun () -> run_recorded (synth_job walk_prop)), "Codes", 0, "synthesized");
+      ( "optimize",
+        (fun () -> run_recorded (Session.Optimize { data_len = 4; md = 4; check_lo = 1; check_hi = 8 })),
+        "Optimized",
+        0,
+        "synthesized" );
+      ("unsat", (fun () -> run_recorded (synth_job (prop_of ~k:4 ~c:2 ~md:4))), "Unsat", 3, "unsat");
+      ( "expired budget",
+        (fun () -> run_recorded ~timeout:0.0 (synth_job (prop_of ~k:4 ~c:3 ~md:3))),
+        "Timeout",
+        4,
+        "timeout" );
+      ("cache hit", (fun () -> run_recorded ~cache_dir cached), "Codes", 0, "synthesized");
+    ];
+  let r, e = run_recorded ~cache_dir cached in
+  Alcotest.(check bool) "cache hit flagged" true r.Session.cache_hit;
+  Alcotest.(check bool) "cache hit recorded" true e.Telemetry.Ledger.cache_hit
+
+let iterations_of r =
+  match r.Session.outcome with
+  | Session.Codes (_, st) | Session.Optimized (_, st) -> st.Synth.Report.Stats.iterations
+  | _ -> Alcotest.fail "expected a synthesized outcome"
+
+let test_walk_totals () =
+  (* a synth minimal(len_c) walk and the optimize job over the same
+     interval are one walk: both report the stats summed over every
+     length tried *)
+  let synth, _ = run_recorded (synth_job walk_prop) in
+  let opt, _ = run_recorded (Session.Optimize { data_len = 4; md = 4; check_lo = 1; check_hi = 8 }) in
+  Alcotest.(check int) "optimize totals" 11 (iterations_of opt);
+  Alcotest.(check int) "synth walk totals" (iterations_of opt) (iterations_of synth)
+
 let test_portfolio_shares_scope () =
   (* both portfolio spawn sites (the synthesis race and the verification
      race) must carry the caller's scope into their worker domains *)
@@ -366,5 +447,12 @@ let () =
             test_run_sync_repeatable;
           Alcotest.test_case "portfolio workers share the run's scope" `Quick
             test_portfolio_shares_scope;
+        ] );
+      ( "run_sync",
+        [
+          Alcotest.test_case "outcome, exit code and ledger outcome" `Quick
+            test_outcome_table;
+          Alcotest.test_case "a minimal(len_c) walk reports its totals" `Quick
+            test_walk_totals;
         ] );
     ]

@@ -7,6 +7,8 @@ open Synth
 
 let md = Hamming.Distance.min_distance
 
+let task_of prop = match Driver.analyze prop with Ok t -> t | Error e -> Alcotest.fail e
+
 let synthesize_simple ?(timeout = 60.0) ?cex_mode ~k ~c ~m () =
   Cegis.synthesize ~timeout ?cex_mode
     { Cegis.data_len = k; check_len = c; min_distance = m; extra = [] }
@@ -237,7 +239,7 @@ let test_pins_keep_order_off () =
       in
       List.iter
         (fun jobs ->
-          match Driver.run ~timeout:60.0 ?jobs (Spec.Parse.prop src) with
+          match Driver.run ~timeout:60.0 ?jobs (task_of (Spec.Parse.prop src)) with
           | Driver.Codes ([ code ], _) ->
               Alcotest.(check int) (src ^ " md") 3 (md code);
               List.iter
@@ -719,7 +721,7 @@ let test_driver_paper_example () =
       Alcotest.(check int) "hi" 4 s.Driver.check_hi
   | Ok _ -> Alcotest.fail "wrong task"
   | Error e -> Alcotest.fail e);
-  match Driver.run ~timeout:60.0 prop with
+  match Driver.run ~timeout:60.0 (task_of prop) with
   | Driver.Codes ([ code ], _) ->
       Alcotest.(check int) "md" 3 (md code);
       Alcotest.(check int) "minimal check len" 3 (Hamming.Code.check_len code)
@@ -729,7 +731,7 @@ let test_driver_fixed_entry () =
   let prop =
     Spec.Parse.prop "len_d(G[0]) = 4 && len_c(G[0]) = 4 && md(G[0]) = 3 && G[0](0, 4) = 1"
   in
-  match Driver.run ~timeout:60.0 prop with
+  match Driver.run ~timeout:60.0 (task_of prop) with
   | Driver.Codes ([ code ], _) ->
       Alcotest.(check bool) "entry honored" true
         (Gf2.Matrix.get (Hamming.Code.generator code) 0 4)
@@ -741,8 +743,8 @@ let test_driver_weighted () =
       "len_G = 2 && len_c(G[0]) = 5 && md(G[0]) = 3 && len_c(G[1]) = 1 && md(G[1]) = 2 \
        && minimal(sum_w)"
   in
-  match Driver.run ~timeout:120.0 ~weights:float_weights prop with
-  | Driver.Weighted_result r ->
+  match Driver.run ~timeout:120.0 ~weights:float_weights (task_of prop) with
+  | Driver.Weighted r ->
       let t0, t1 = r.Weighted.counts in
       Alcotest.(check int) "all bits" 16 (t0 + t1)
   | _ -> Alcotest.fail "expected weighted result"
@@ -758,7 +760,7 @@ let test_driver_maximal_md () =
   | Ok (Driver.Max_distance _) -> ()
   | Ok _ -> Alcotest.fail "wrong task"
   | Error e -> Alcotest.fail e);
-  match Driver.run ~timeout:120.0 prop with
+  match Driver.run ~timeout:120.0 (task_of prop) with
   | Driver.Codes ([ code ], _) ->
       Alcotest.(check int) "maximal distance" 5 (md code)
   | _ -> Alcotest.fail "expected one generator"
@@ -778,7 +780,7 @@ let test_driver_rejects_unsupported () =
 
 let test_driver_reports_unsat () =
   let prop = Spec.Parse.prop "len_d(G[0]) = 4 && len_c(G[0]) = 2 && md(G[0]) = 3" in
-  match Driver.run ~timeout:30.0 prop with
+  match Driver.run ~timeout:30.0 (task_of prop) with
   | Driver.Unsat _ -> ()
   | _ -> Alcotest.fail "expected unsat"
 
