@@ -448,7 +448,7 @@ let () =
           Alcotest.test_case "portfolio workers share the run's scope" `Quick
             test_portfolio_shares_scope;
         ] );
-      ( "run_sync",
+      ( "run",
         [
           Alcotest.test_case "outcome, exit code and ledger outcome" `Quick
             test_outcome_table;
