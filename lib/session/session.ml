@@ -132,8 +132,8 @@ let hit_stats (e : Cache.entry) =
   { Report.Stats.zero with iterations = e.iterations; elapsed = e.elapsed }
 
 (* A checkpoint writer carrying resumed state forward, feeding every
-   newly learned counterexample, the running iteration count and the
-   check length the walk has reached. *)
+   newly learned counterexample, the running iteration count and, when
+   [bound] is given, the check length the walk has reached. *)
 let make_writer ~checkpoint (s : Synth.Driver.single) ~initial ~resumed_iters
     ~bound =
   match checkpoint with
@@ -145,8 +145,28 @@ let make_writer ~checkpoint (s : Synth.Driver.single) ~initial ~resumed_iters
       in
       List.iter (Synth.Checkpoint.Writer.record_cex w) initial;
       Synth.Checkpoint.Writer.record_iterations w resumed_iters;
-      Synth.Checkpoint.Writer.record_bound w bound;
+      Option.iter (Synth.Checkpoint.Writer.record_bound w) bound;
       Some w
+
+(* A checkpoint's bound says every check length from its problem's
+   check length up to the bound was refuted for the bare distance
+   problem.  Only a walk without pins or a len_1 bound proves that: a
+   fixed task tries one length, and a pinned walk skips the lengths too
+   short for its pins without refuting them. *)
+let proves_bound = function
+  | Synth.Driver.Min_check_len { fixed_bits = []; len1_max = None; _ } -> true
+  | _ -> false
+
+(* Where a resumed task starts: a walk skips the lengths its checkpoint
+   refuted, when they cover the bottom of the walk's own range (pins and
+   a len_1 bound only shrink the feasible set, so an unpinned refutation
+   holds for them too).  A fixed task, or a checkpoint whose problem
+   starts above the walk's check_lo, starts at check_lo. *)
+let resume_start task (s : Synth.Driver.single) (t : Synth.Checkpoint.t) =
+  match (task, t.opt_bound) with
+  | Synth.Driver.Min_check_len _, Some b when t.check_len <= s.check_lo ->
+      max s.check_lo b
+  | _ -> s.check_lo
 
 let writer_on_cex writer iters =
   match writer with
@@ -372,11 +392,13 @@ let run_job ?on_report ~intr ~t0 request =
                   failwith
                     (Printf.sprintf
                        "cannot resume: checkpoint is for data_len %d md %d \
-                        but the specification wants data_len %d md %d"
-                       t.data_len t.min_distance s.data_len s.md);
-                ( t.cexes,
-                  t.iterations,
-                  max s.check_lo (Option.value t.opt_bound ~default:0) ))
+                        but the %s wants data_len %d md %d"
+                       t.data_len t.min_distance
+                       (match request.job with
+                       | Synth _ -> "specification"
+                       | Optimize _ -> "command line")
+                       s.data_len s.md);
+                (t.cexes, t.iterations, resume_start task s t))
         | _, Some s -> ([], 0, s.check_lo)
         | _, None -> ([], 0, 0)
       in
@@ -405,10 +427,11 @@ let run_job ?on_report ~intr ~t0 request =
         | Some c, Some s -> Cache.warm_start ~dir:c.c_dir ~data_len:s.data_len ~md:s.md
         | _ -> []
       in
+      let bound = proves_bound task in
       let writer =
         Option.bind single (fun s ->
             make_writer ~checkpoint:request.checkpoint s ~initial ~resumed_iters
-              ~bound:start)
+              ~bound:(if bound then Some start else None))
       in
       let iters = Atomic.make resumed_iters in
       let learned = ref [] in
@@ -417,7 +440,9 @@ let run_job ?on_report ~intr ~t0 request =
         learned := cex :: !learned;
         record_cex cex
       in
-      let on_round c = Option.iter (fun w -> Synth.Checkpoint.Writer.record_bound w c) writer in
+      let on_round c =
+        if bound then Option.iter (fun w -> Synth.Checkpoint.Writer.record_bound w c) writer
+      in
       let last_report = ref None in
       let on_report r =
         last_report := Some r;
