@@ -8,7 +8,7 @@ SMOKE_SPEC := len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) = 3 && md(G[0]) = 3
 
 # Bench regression gate: the current PR's baseline file, the (fast,
 # deterministic) experiment subset it runs, and the tolerated drift.
-BENCH_OUT := BENCH_pr18.json
+BENCH_OUT := BENCH_pr19.json
 BENCH_GATE_EXPERIMENTS := ablation-card ablation-cex multibit sat table1
 BENCH_GATE_THRESHOLD := 25
 # ns_per_prop is wall-clock-derived (unlike the exact iteration/conflict
@@ -48,7 +48,7 @@ test: build
 # parse and the expected event vocabulary to be present.
 trace-smoke: build
 	dune exec -- fecsynth synth --trace $(TRACE) --stats json -p '$(SMOKE_SPEC)' > /dev/null
-	dune exec -- fecsynth trace-check $(TRACE)
+	dune exec -- fecsynth trace check $(TRACE)
 
 # Resilience gate, three layers:
 #   1. the randomized cross-check harness under stall-only injection

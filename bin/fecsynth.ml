@@ -1381,8 +1381,6 @@ let trace_file_arg =
   let doc = "NDJSON telemetry trace (as written by --trace)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
 
-(* One implementation behind both [fecsynth trace check] and the
-   original [fecsynth trace-check] spelling, byte-identical output. *)
 let trace_check_run file fmt =
   match load_parsed file with
   | Error msg -> `Error (false, msg)
@@ -1448,12 +1446,10 @@ let trace_check_doc =
    truncated final line (interrupted write), unbalanced spans and \
    out-of-order timestamps."
 
-let trace_check_term = Term.(ret (const trace_check_run $ trace_file_arg $ Output.stats_arg))
-
-(* legacy spelling, kept as a hidden-in-docs-but-working alias *)
-let trace_check_cmd = Cmd.v (Cmd.info "trace-check" ~doc:trace_check_doc) trace_check_term
-
-let trace_check_sub = Cmd.v (Cmd.info "check" ~doc:trace_check_doc) trace_check_term
+let trace_check_sub =
+  Cmd.v
+    (Cmd.info "check" ~doc:trace_check_doc)
+    Term.(ret (const trace_check_run $ trace_file_arg $ Output.stats_arg))
 
 let trace_report_cmd =
   let top_arg =
@@ -1462,11 +1458,9 @@ let trace_report_cmd =
   in
   let request_arg =
     let doc =
-      "Slice a serve-daemon trace down to the one request stamped with \
-       id $(docv) and attribute its wall time end to end: queue wait, \
-       then per-phase span self-times.  Spans still open at the end of \
-       the slice (a reaped stall) are attributed to the phase they were \
-       stuck in."
+      "Report on the events of a serve-daemon trace stamped with request \
+       id $(docv): the same sections as the whole-trace report, plus the \
+       request's queue wait (admission to first span)."
     in
     Arg.(value & opt (some string) None & info [ "request" ] ~docv:"ID" ~doc)
   in
@@ -1522,84 +1516,39 @@ let trace_report_cmd =
                  rt.An.rt_domains) );
         ] )
   in
-  let run_request p rid fmt =
-    match An.request_report ~request:rid p with
-    | None ->
-        let known = An.request_ids p in
-        `Error
-          ( false,
-            Printf.sprintf "request %S not in trace%s" rid
-              (match known with
-              | [] -> " (no request-stamped events at all)"
-              | ids ->
-                  Printf.sprintf " (has: %s)"
-                    (String.concat ", "
-                       (List.map fst
-                          (List.filteri (fun i _ -> i < 8) ids)))) )
-    | Some r ->
-        let rt = An.runtime ~request:rid p in
-        Output.result fmt
-          ~text:(fun () ->
-            Printf.printf "request:     %s\n" r.An.rq_id;
-            Printf.printf "events:      %d\n" r.An.rq_events;
-            Printf.printf "wall:        %.3fs\n" r.An.rq_wall_s;
-            Printf.printf "queue wait:  %.3fs\n" r.An.rq_queue_wait_s;
-            Printf.printf "attributed:  %.1f%% (%.3fs)\n" r.An.rq_attributed_pct
-              r.An.rq_attributed_s;
-            if r.An.rq_open_spans > 0 then
-              Printf.printf "open spans:  %d (still running or reaped)\n"
-                r.An.rq_open_spans;
-            if r.An.rq_phases <> [] then begin
-              Printf.printf "\n%-24s %12s %8s\n" "phase" "total_s" "calls";
-              List.iter
-                (fun ph ->
-                  Printf.printf "%-24s %12.4f %8d\n" ph.An.rq_phase
-                    ph.An.rq_total_s ph.An.rq_calls)
-                r.An.rq_phases
-            end;
-            Option.iter runtime_text rt)
-          ~json:(fun () ->
-            (match rt with Some s -> [ runtime_json s ] | None -> [])
-            @ [
-              ("command", J.Str "trace-report");
-              ("request", J.Str r.An.rq_id);
-              ("events", J.Int r.An.rq_events);
-              ("wall_s", J.Float r.An.rq_wall_s);
-              ("queue_wait_s", J.Float r.An.rq_queue_wait_s);
-              ("open_spans", J.Int r.An.rq_open_spans);
-              ("attributed_s", J.Float r.An.rq_attributed_s);
-              ("attributed_pct", J.Float r.An.rq_attributed_pct);
-              ( "phases",
-                J.List
-                  (List.map
-                     (fun ph ->
-                       J.Obj
-                         [
-                           ("phase", J.Str ph.An.rq_phase);
-                           ("total_s", J.Float ph.An.rq_total_s);
-                           ("calls", J.Int ph.An.rq_calls);
-                         ])
-                     r.An.rq_phases) );
-            ]);
-        `Ok ()
-  in
   let run file top request fmt =
     match load_parsed file with
     | Error msg -> `Error (false, msg)
     | Ok p -> (
-        match request with
-        | Some rid -> run_request p rid fmt
+        match An.report ?request ~top p with
         | None ->
-        let r = An.report ~top p in
-        let rt = An.runtime p in
+            `Error
+              ( false,
+                Printf.sprintf "request %S not in trace%s"
+                  (Option.value request ~default:"")
+                  (match An.request_ids p with
+                  | [] -> " (no request-stamped events at all)"
+                  | ids ->
+                      Printf.sprintf " (has: %s)"
+                        (String.concat ", "
+                           (List.map fst
+                              (List.filteri (fun i _ -> i < 8) ids)))) )
+        | Some r ->
+        let rt = An.runtime ?request p in
         Output.result fmt
           ~text:(fun () ->
+            Option.iter (Printf.printf "request:     %s\n") r.An.request;
             Printf.printf "events:      %d\n" r.An.events;
             Printf.printf "wall:        %.3fs\n" r.An.wall_s;
+            if r.An.request <> None then
+              Printf.printf "queue wait:  %.3fs\n" r.An.queue_wait_s;
             Printf.printf "busy:        %.3fs\n" r.An.busy_s;
             Printf.printf "attributed:  %.1f%% (%.3fs unattributed)\n"
               r.An.attributed_pct r.An.unattributed_s;
             Printf.printf "iterations:  %d\n" r.An.iterations;
+            if r.An.open_spans > 0 then
+              Printf.printf "open spans:  %d (still running or reaped)\n"
+                r.An.open_spans;
             if r.An.phases <> [] then begin
               Printf.printf "\n%-24s %12s %8s\n" "phase" "total_s" "calls";
               List.iter
@@ -1609,12 +1558,9 @@ let trace_report_cmd =
                 r.An.phases
             end;
             Option.iter runtime_text rt;
-            (match r.An.sat_totals with
-            | [] -> ()
-            | totals ->
-                Printf.printf "\nsat:";
-                List.iter (fun (k, v) -> Printf.printf " %s=%d" k v) totals;
-                print_newline ());
+            Printf.printf "\nsat:";
+            List.iter (fun (k, v) -> Printf.printf " %s=%d" k v) r.An.sat_totals;
+            print_newline ();
             match r.An.slowest with
             | [] -> ()
             | slow ->
@@ -1629,11 +1575,18 @@ let trace_report_cmd =
                   slow)
           ~json:(fun () ->
             (match rt with Some s -> [ runtime_json s ] | None -> [])
+            @ [ ("command", J.Str "trace-report") ]
+            @ (match r.An.request with
+              | Some id -> [ ("request", J.Str id) ]
+              | None -> [])
+            @ [ ("events", J.Int r.An.events); ("wall_s", J.Float r.An.wall_s) ]
+            @ (if r.An.request <> None then
+                 [ ("queue_wait_s", J.Float r.An.queue_wait_s) ]
+               else [])
             @ [
-              ("command", J.Str "trace-report");
-              ("events", J.Int r.An.events);
-              ("wall_s", J.Float r.An.wall_s);
               ("busy_s", J.Float r.An.busy_s);
+              ("open_spans", J.Int r.An.open_spans);
+              ("attributed_s", J.Float r.An.attributed_s);
               ("unattributed_s", J.Float r.An.unattributed_s);
               ("attributed_pct", J.Float r.An.attributed_pct);
               ("iterations", J.Int r.An.iterations);
@@ -1671,7 +1624,9 @@ let trace_report_cmd =
   let doc =
     "Per-phase wall-time attribution of a synthesis trace: where the run \
      spent its time (SAT propagate/analyze/restart, Smtlite encoding, CEGIS \
-     verification, portfolio idle), per iteration and in total.  With \
+     verification, portfolio idle), per iteration and in total.  Attributed \
+     time is the union of root spans; spans still open at the end of the \
+     trace (a killed run, a reaped stall) count up to its last event.  With \
      $(b,--request), slice a serve-daemon trace down to one request."
   in
   Cmd.v (Cmd.info "report" ~doc)
@@ -2295,7 +2250,7 @@ let () =
         synth_cmd; optimize_cmd; serve_cmd; submit_cmd; call_cmd; top_cmd;
         cache_cmd;
         verify_cmd; certify_cmd; distance_cmd; analyze_cmd; emit_cmd;
-        robustness_cmd; smt_cmd; trace_cmd; trace_check_cmd; version_cmd;
+        robustness_cmd; smt_cmd; trace_cmd; version_cmd;
         runs_cmd;
       ]
   in

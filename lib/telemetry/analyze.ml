@@ -221,7 +221,50 @@ let check (p : parsed) =
         (Hashtbl.fold (fun k () acc -> k :: acc) unknown []);
   }
 
-(* ---------- span tree and phase attribution ---------- *)
+(* ---------- slices, span tree and phase attribution ---------- *)
+
+let request_of_fields fields =
+  match List.assoc_opt "request" fields with
+  | Some (Sink.Str id) -> Some id
+  | _ -> None
+
+(* request ids present in the trace, busiest first *)
+let request_ids (p : parsed) =
+  let tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun ev ->
+      match request_of_fields (event_fields ev) with
+      | Some id ->
+          Hashtbl.replace tbl id
+            (1 + Option.value (Hashtbl.find_opt tbl id) ~default:0)
+      | None -> ())
+    p.events;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, ca) (b, cb) ->
+         match compare cb ca with 0 -> String.compare a b | c -> c)
+
+(* The events one analysis runs over: the whole trace, or the events
+   stamped with one request id. *)
+let slice ?request (p : parsed) =
+  match request with
+  | None -> p.events
+  | Some r ->
+      List.filter (fun ev -> request_of_fields (event_fields ev) = Some r) p.events
+
+(* first and last timestamp of a non-empty slice *)
+let time_bounds evs =
+  List.fold_left
+    (fun (lo, hi) ev ->
+      let ts = event_ts ev in
+      (Float.min lo ts, Float.max hi ts))
+    (infinity, neg_infinity) evs
+
+let wall_of evs =
+  match evs with
+  | [] -> 0.0
+  | _ ->
+      let lo, hi = time_bounds evs in
+      hi -. lo
 
 type span = {
   id : int;
@@ -230,6 +273,7 @@ type span = {
   t0 : float;
   dur : float;
   self : float; (* dur minus the summed durations of direct children *)
+  still_open : bool;
   begin_fields : Sink.fields;
   end_fields : Sink.fields;
 }
@@ -245,55 +289,66 @@ let int_field fields key =
   | Some (Sink.Int n) -> Some n
   | _ -> None
 
-(* Completed spans (begin and end both present), in end order, with
-   self-times computed from direct children. *)
-let spans (p : parsed) =
+(* The one begin/end pairing.  Completed spans come in end order; spans
+   still open when the slice ends (a killed run, a reaped stall) follow
+   in begin order, extended to the slice's last timestamp so their time
+   is attributed to the phase they were stuck in.  Self-times subtract
+   the durations of direct children, open ones included. *)
+let spans_of_events evs =
+  let t_end = snd (time_bounds evs) in
   let begins = Hashtbl.create 64 in
-  let child_time : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  let acc = ref [] in
+  let completed = ref [] in
+  let span id (t0, parent, name, begin_fields) ~dur ~still_open end_fields =
+    { id; name; parent; t0; dur; self = 0.0; still_open; begin_fields;
+      end_fields }
+  in
   List.iter
-    (fun ev ->
-      match ev with
+    (function
       | Sink.Span_begin { ts; id; parent; name; fields } ->
           Hashtbl.replace begins id (ts, parent, name, fields)
       | Sink.Span_end { id; dur; fields; _ } -> (
           match Hashtbl.find_opt begins id with
           | None -> ()
-          | Some (t0, parent, name, begin_fields) ->
-              (match parent with
-              | Some pid ->
-                  Hashtbl.replace child_time pid
-                    (dur
-                    +. Option.value (Hashtbl.find_opt child_time pid)
-                         ~default:0.0)
-              | None -> ());
-              acc :=
-                {
-                  id;
-                  name;
-                  parent;
-                  t0;
-                  dur;
-                  self = 0.0;
-                  begin_fields;
-                  end_fields = fields;
-                }
-                :: !acc)
+          | Some b ->
+              Hashtbl.remove begins id;
+              completed := span id b ~dur ~still_open:false fields :: !completed)
       | _ -> ())
-    p.events;
-  List.rev !acc
-  |> List.map (fun sp ->
-         let children =
-           Option.value (Hashtbl.find_opt child_time sp.id) ~default:0.0
-         in
-         { sp with self = Float.max 0.0 (sp.dur -. children) })
+    evs;
+  let still_open =
+    Hashtbl.fold
+      (fun id ((t0, _, _, _) as b) acc ->
+        span id b ~dur:(Float.max 0.0 (t_end -. t0)) ~still_open:true [] :: acc)
+      begins []
+    |> List.sort (fun a b -> compare (a.t0, a.id) (b.t0, b.id))
+  in
+  let all = List.rev_append !completed still_open in
+  let child_time : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun sp ->
+      Option.iter
+        (fun pid ->
+          Hashtbl.replace child_time pid
+            (sp.dur +. Option.value (Hashtbl.find_opt child_time pid) ~default:0.0))
+        sp.parent)
+    all;
+  List.map
+    (fun sp ->
+      let children = Option.value (Hashtbl.find_opt child_time sp.id) ~default:0.0 in
+      { sp with self = Float.max 0.0 (sp.dur -. children) })
+    all
+
+let spans (p : parsed) = spans_of_events p.events
 
 type phase = { phase : string; total_s : float; calls : int }
 
 type report = {
+  request : string option;
   events : int;
   wall_s : float;
+  queue_wait_s : float; (* request slices only: first event to first span *)
   busy_s : float; (* summed root-span time; > wall_s when domains overlap *)
+  open_spans : int;
+  attributed_s : float; (* interval union of root spans and queue wait *)
   unattributed_s : float;
   attributed_pct : float;
   iterations : int;
@@ -303,11 +358,11 @@ type report = {
       (* (iteration number, duration, direct children by name) *)
 }
 
-(* Map one completed span's self-time onto named phases.  [sat.solve]
-   spans carry their own inner-loop split (propagate/analyze/restart
-   seconds measured by the solver when tracing is on); the remainder of
-   the solver's self-time is clause management, branching and encoding
-   walk ("sat.other"). *)
+(* Map one span's self-time onto named phases.  [sat.solve] spans carry
+   their own inner-loop split (propagate/analyze/restart seconds measured
+   by the solver when tracing is on); the remainder of the solver's
+   self-time is clause management, branching and encoding walk
+   ("sat.other"). *)
 let phases_of_span sp =
   match sp.name with
   | "sat.solve" -> (
@@ -329,105 +384,130 @@ let phases_of_span sp =
   | "portfolio.worker" -> [ ("portfolio.idle", sp.self) ]
   | name -> [ (name, sp.self) ]
 
-let report ?(top = 3) (p : parsed) =
-  let sps = spans p in
-  let phase_tbl : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
-  let add_phase name s count =
-    let t, c = Option.value (Hashtbl.find_opt phase_tbl name) ~default:(0.0, 0) in
-    Hashtbl.replace phase_tbl name (t +. s, c + count)
-  in
-  List.iter
-    (fun sp ->
-      match phases_of_span sp with
-      | [ (name, s) ] -> add_phase name s 1
-      | parts -> List.iter (fun (name, s) -> add_phase name s 0) parts)
-    sps;
-  (* count sat.solve calls once for the split rows *)
-  let solve_calls =
-    List.length (List.filter (fun sp -> sp.name = "sat.solve") sps)
-  in
-  List.iter
-    (fun n ->
-      match Hashtbl.find_opt phase_tbl n with
-      | Some (t, 0) -> Hashtbl.replace phase_tbl n (t, solve_calls)
-      | _ -> ())
-    [ "sat.propagate"; "sat.analyze"; "sat.restart"; "sat.other" ];
-  let wall =
-    match p.events with
-    | [] -> 0.0
-    | evs ->
-        let ts = List.map event_ts evs in
-        List.fold_left Float.max neg_infinity ts
-        -. List.fold_left Float.min infinity ts
-  in
-  let busy =
-    List.fold_left
-      (fun acc sp -> if sp.parent = None then acc +. sp.dur else acc)
-      0.0 sps
-  in
-  let unattributed = Float.max 0.0 (wall -. busy) in
-  let attributed_pct =
-    if wall <= 0.0 then 100.0 else 100.0 *. (wall -. unattributed) /. wall
-  in
-  let iterations =
-    List.length (List.filter (fun sp -> sp.name = "cegis.iteration") sps)
-  in
-  let sat_totals =
-    let keys = [ "decisions"; "propagations"; "conflicts"; "restarts" ] in
-    List.map
-      (fun k ->
-        ( k,
-          List.fold_left
-            (fun acc sp ->
-              if sp.name = "sat.solve" then
-                acc + Option.value (int_field sp.end_fields k) ~default:0
-              else acc)
-            0 sps ))
-      keys
-  in
-  let slowest =
+(* Total length of the union of [(start, dur)] intervals.  Disjoint
+   intervals add their [dur] unchanged, so a trace whose intervals never
+   overlap gets exactly their sum. *)
+let union_length intervals =
+  let sorted = List.sort (fun (a, _) (b, _) -> Float.compare a b) intervals in
+  fst
+    (List.fold_left
+       (fun (acc, reach) (s, d) ->
+         let e = s +. d in
+         if s >= reach then (acc +. d, e)
+         else (acc +. Float.max 0.0 (e -. reach), Float.max reach e))
+       (0.0, neg_infinity) sorted)
+
+(* One attribution rule for the whole trace and for a request slice:
+   the slice's wall clock covered by root spans (spans whose parent is
+   not in the slice) and, for a request, its queue wait — an interval
+   union, since roots on concurrent worker domains overlap. *)
+let report ?request ?(top = 3) (p : parsed) =
+  let evs = slice ?request p in
+  if request <> None && evs = [] then None
+  else
+    let sps = spans_of_events evs in
+    let ids = Hashtbl.create 64 in
+    List.iter (fun sp -> Hashtbl.replace ids sp.id ()) sps;
+    let roots =
+      List.filter
+        (fun sp ->
+          match sp.parent with None -> true | Some pid -> not (Hashtbl.mem ids pid))
+        sps
+    in
+    let queue_wait, queue_interval =
+      match (request, sps) with
+      | Some _, _ :: _ ->
+          let t0 = fst (time_bounds evs) in
+          let first = List.fold_left (fun acc sp -> Float.min acc sp.t0) infinity sps in
+          let w = Float.max 0.0 (first -. t0) in
+          (w, if w > 0.0 then [ (t0, w) ] else [])
+      | _ -> (0.0, [])
+    in
+    let phase_tbl : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
+    let add_phase name s count =
+      let t, c = Option.value (Hashtbl.find_opt phase_tbl name) ~default:(0.0, 0) in
+      Hashtbl.replace phase_tbl name (t +. s, c + count)
+    in
+    List.iter
+      (fun sp ->
+        match phases_of_span sp with
+        | [ (name, s) ] -> add_phase name s 1
+        | parts -> List.iter (fun (name, s) -> add_phase name s 0) parts)
+      sps;
+    (* count sat.solve calls once for the split rows *)
+    let solve_calls =
+      List.length (List.filter (fun sp -> sp.name = "sat.solve") sps)
+    in
+    List.iter
+      (fun n ->
+        match Hashtbl.find_opt phase_tbl n with
+        | Some (t, 0) -> Hashtbl.replace phase_tbl n (t, solve_calls)
+        | _ -> ())
+      [ "sat.propagate"; "sat.analyze"; "sat.restart"; "sat.other" ];
+    if queue_wait > 0.0 then add_phase "queue.wait" queue_wait 1;
+    let wall = wall_of evs in
+    let busy = List.fold_left (fun acc sp -> acc +. sp.dur) 0.0 roots in
+    let covered =
+      union_length (queue_interval @ List.map (fun sp -> (sp.t0, sp.dur)) roots)
+    in
+    let unattributed = Float.max 0.0 (wall -. covered) in
     let iters =
       List.filter (fun sp -> sp.name = "cegis.iteration") sps
-      |> List.sort (fun a b -> Float.compare b.dur a.dur)
     in
-    let take n l =
-      List.filteri (fun i _ -> i < n) l
+    let sat_totals =
+      List.map
+        (fun k ->
+          ( k,
+            List.fold_left
+              (fun acc sp ->
+                if sp.name = "sat.solve" then
+                  acc + Option.value (int_field sp.end_fields k) ~default:0
+                else acc)
+              0 sps ))
+        [ "decisions"; "propagations"; "conflicts"; "restarts" ]
     in
-    List.map
-      (fun sp ->
-        let n = Option.value (int_field sp.begin_fields "iter") ~default:0 in
-        let kids = Hashtbl.create 4 in
-        List.iter
-          (fun c ->
-            if c.parent = Some sp.id then
-              Hashtbl.replace kids c.name
-                (c.dur
-                +. Option.value (Hashtbl.find_opt kids c.name) ~default:0.0))
-          sps;
-        let kid_list =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) kids []
-          |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-        in
-        (n, sp.dur, kid_list))
-      (take top iters)
-  in
-  {
-    events = List.length p.events;
-    wall_s = wall;
-    busy_s = busy;
-    unattributed_s = unattributed;
-    attributed_pct;
-    iterations;
-    phases =
-      Hashtbl.fold (fun name (t, c) acc -> { phase = name; total_s = t; calls = c } :: acc)
-        phase_tbl []
-      |> List.sort (fun a b ->
-             match Float.compare b.total_s a.total_s with
-             | 0 -> String.compare a.phase b.phase
-             | c -> c);
-    sat_totals;
-    slowest;
-  }
+    let slowest =
+      List.sort (fun a b -> Float.compare b.dur a.dur) iters
+      |> List.filteri (fun i _ -> i < top)
+      |> List.map (fun sp ->
+             let n = Option.value (int_field sp.begin_fields "iter") ~default:0 in
+             let kids = Hashtbl.create 4 in
+             List.iter
+               (fun c ->
+                 if c.parent = Some sp.id then
+                   Hashtbl.replace kids c.name
+                     (c.dur +. Option.value (Hashtbl.find_opt kids c.name) ~default:0.0))
+               sps;
+             let kid_list =
+               Hashtbl.fold (fun k v acc -> (k, v) :: acc) kids []
+               |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
+             in
+             (n, sp.dur, kid_list))
+    in
+    Some
+      {
+        request;
+        events = List.length evs;
+        wall_s = wall;
+        queue_wait_s = queue_wait;
+        busy_s = busy;
+        open_spans = List.length (List.filter (fun sp -> sp.still_open) sps);
+        attributed_s = wall -. unattributed;
+        unattributed_s = unattributed;
+        attributed_pct =
+          (if wall <= 0.0 then 100.0 else 100.0 *. (wall -. unattributed) /. wall);
+        iterations = List.length iters;
+        phases =
+          Hashtbl.fold
+            (fun name (t, c) acc -> { phase = name; total_s = t; calls = c } :: acc)
+            phase_tbl []
+          |> List.sort (fun a b ->
+                 match Float.compare b.total_s a.total_s with
+                 | 0 -> String.compare a.phase b.phase
+                 | c -> c);
+        sat_totals;
+        slowest;
+      }
 
 (* ---------- folded flamegraph stacks ---------- *)
 
@@ -524,13 +604,7 @@ let metrics_of_trace (p : parsed) =
       | Sink.Point { name; _ } -> bump ("event." ^ name) 1.0
       | Sink.Span_begin _ | Sink.Gauge _ -> ())
     p.events;
-  (match p.events with
-  | [] -> ()
-  | evs ->
-      let ts = List.map event_ts evs in
-      Hashtbl.replace tbl "wall_s"
-        (List.fold_left Float.max neg_infinity ts
-        -. List.fold_left Float.min infinity ts));
+  if p.events <> [] then Hashtbl.replace tbl "wall_s" (wall_of p.events);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -590,207 +664,6 @@ type diff = {
   improvements : delta list; (* pct < -threshold, best first *)
 }
 
-(* ---------- request slicing (daemon traces) ---------- *)
-
-(* A daemon trace interleaves many requests across worker domains; the
-   ambient span context stamps each event with its request id, so one
-   submit can be sliced back out and its wall time attributed end to end:
-   queue wait (admission point to first span), then per-phase span
-   self-times.  Spans still open at the end of the slice — a stalled
-   sat.solve in a flight-recorder postmortem — are extended to the
-   slice's last timestamp, so a reaped request's stall is attributed to
-   the phase it was stuck in rather than vanishing. *)
-
-type request_phase = { rq_phase : string; rq_total_s : float; rq_calls : int }
-
-type request_report = {
-  rq_id : string;
-  rq_events : int;
-  rq_wall_s : float;
-  rq_queue_wait_s : float;
-  rq_open_spans : int;
-  rq_phases : request_phase list; (* sorted by total_s, descending *)
-  rq_attributed_s : float;
-  rq_attributed_pct : float;
-}
-
-let request_of_fields fields =
-  match List.assoc_opt "request" fields with
-  | Some (Sink.Str id) -> Some id
-  | _ -> None
-
-(* request ids present in the trace, busiest first *)
-let request_ids (p : parsed) =
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match request_of_fields (event_fields ev) with
-      | Some id ->
-          Hashtbl.replace tbl id
-            (1 + Option.value (Hashtbl.find_opt tbl id) ~default:0)
-      | None -> ())
-    p.events;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, ca) (b, cb) ->
-         match compare cb ca with 0 -> String.compare a b | c -> c)
-
-let request_report ~request (p : parsed) =
-  let evs =
-    List.filter
-      (fun ev -> request_of_fields (event_fields ev) = Some request)
-      p.events
-  in
-  match evs with
-  | [] -> None
-  | _ ->
-      let ts_list = List.map event_ts evs in
-      let t0 = List.fold_left Float.min infinity ts_list in
-      let t_end = List.fold_left Float.max neg_infinity ts_list in
-      let wall = Float.max 0.0 (t_end -. t0) in
-      (* spans within the slice; unmatched begins stay open *)
-      let begins = Hashtbl.create 32 in
-      let completed = ref [] in
-      List.iter
-        (fun ev ->
-          match ev with
-          | Sink.Span_begin { ts; id; parent; name; fields } ->
-              Hashtbl.replace begins id (ts, parent, name, fields)
-          | Sink.Span_end { id; dur; fields; _ } -> (
-              match Hashtbl.find_opt begins id with
-              | None -> ()
-              | Some (bts, parent, name, begin_fields) ->
-                  Hashtbl.remove begins id;
-                  completed :=
-                    {
-                      id;
-                      name;
-                      parent;
-                      t0 = bts;
-                      dur;
-                      self = 0.0;
-                      begin_fields;
-                      end_fields = fields;
-                    }
-                    :: !completed)
-          | _ -> ())
-        evs;
-      let open_spans =
-        Hashtbl.fold
-          (fun id (bts, parent, name, begin_fields) acc ->
-            {
-              id;
-              name;
-              parent;
-              t0 = bts;
-              dur = Float.max 0.0 (t_end -. bts);
-              self = 0.0;
-              begin_fields;
-              end_fields = [];
-            }
-            :: acc)
-          begins []
-      in
-      let all = List.rev !completed @ open_spans in
-      let child_time : (int, float) Hashtbl.t = Hashtbl.create 32 in
-      List.iter
-        (fun sp ->
-          match sp.parent with
-          | Some pid ->
-              Hashtbl.replace child_time pid
-                (sp.dur
-                +. Option.value (Hashtbl.find_opt child_time pid) ~default:0.0)
-          | None -> ())
-        all;
-      let all =
-        List.map
-          (fun sp ->
-            {
-              sp with
-              self =
-                Float.max 0.0
-                  (sp.dur
-                  -. Option.value (Hashtbl.find_opt child_time sp.id)
-                       ~default:0.0);
-            })
-          all
-      in
-      let first_span_t0 =
-        List.fold_left (fun acc sp -> Float.min acc sp.t0) infinity all
-      in
-      let queue_wait =
-        if all = [] then 0.0 else Float.max 0.0 (first_span_t0 -. t0)
-      in
-      let phase_tbl : (string, float * int) Hashtbl.t = Hashtbl.create 16 in
-      let add_phase name s count =
-        let t, c =
-          Option.value (Hashtbl.find_opt phase_tbl name) ~default:(0.0, 0)
-        in
-        Hashtbl.replace phase_tbl name (t +. s, c + count)
-      in
-      List.iter
-        (fun sp ->
-          match phases_of_span sp with
-          | [ (name, s) ] -> add_phase name s 1
-          | parts -> List.iter (fun (name, s) -> add_phase name s 0) parts)
-        all;
-      if queue_wait > 0.0 then add_phase "queue.wait" queue_wait 1;
-      (* attribution = fraction of the slice's wall covered by queue wait
-         plus root spans, as an interval union: per-phase self-times can
-         legitimately overlap across concurrent worker domains (roots on
-         different domains have no parent edge), so summing them would
-         overcount *)
-      let ids = Hashtbl.create 32 in
-      List.iter (fun sp -> Hashtbl.replace ids sp.id ()) all;
-      let intervals =
-        (if queue_wait > 0.0 then [ (t0, first_span_t0) ] else [])
-        @ List.filter_map
-            (fun sp ->
-              let root =
-                match sp.parent with
-                | None -> true
-                | Some pid -> not (Hashtbl.mem ids pid)
-              in
-              if root then Some (sp.t0, sp.t0 +. sp.dur) else None)
-            all
-      in
-      let covered =
-        let sorted =
-          List.sort (fun (a, _) (b, _) -> Float.compare a b) intervals
-        in
-        let rec go acc cur = function
-          | [] -> (
-              match cur with None -> acc | Some (s, e) -> acc +. (e -. s))
-          | (s, e) :: rest -> (
-              match cur with
-              | None -> go acc (Some (s, e)) rest
-              | Some (cs, ce) ->
-                  if s <= ce then go acc (Some (cs, Float.max ce e)) rest
-                  else go (acc +. (ce -. cs)) (Some (s, e)) rest)
-        in
-        go 0.0 None sorted
-      in
-      let attributed = Float.min wall covered in
-      Some
-        {
-          rq_id = request;
-          rq_events = List.length evs;
-          rq_wall_s = wall;
-          rq_queue_wait_s = queue_wait;
-          rq_open_spans = List.length open_spans;
-          rq_phases =
-            Hashtbl.fold
-              (fun name (t, c) acc ->
-                { rq_phase = name; rq_total_s = t; rq_calls = c } :: acc)
-              phase_tbl []
-            |> List.sort (fun a b ->
-                   match Float.compare b.rq_total_s a.rq_total_s with
-                   | 0 -> String.compare a.rq_phase b.rq_phase
-                   | c -> c);
-          rq_attributed_s = attributed;
-          rq_attributed_pct =
-            (if wall <= 0.0 then 100.0 else 100.0 *. attributed /. wall);
-        }
-
 (* ---------- runtime lens section (trace report) ---------- *)
 
 (* Aggregate the runtime lens's [runtime.gc] interval points into a
@@ -825,21 +698,8 @@ type runtime_section = {
 }
 
 let runtime ?request (p : parsed) =
-  let keep ev =
-    match request with
-    | None -> true
-    | Some r -> request_of_fields (event_fields ev) = Some r
-  in
-  let evs = List.filter keep p.events in
-  let wall =
-    match evs with
-    | [] -> 0.0
-    | _ ->
-        let ts = List.map event_ts evs in
-        Float.max 0.0
-          (List.fold_left Float.max neg_infinity ts
-          -. List.fold_left Float.min infinity ts)
-  in
+  let evs = slice ?request p in
+  let wall = wall_of evs in
   let tbl : (int, runtime_domain) Hashtbl.t = Hashtbl.create 8 in
   let pauses = ref 0 in
   let max_pause = ref 0.0 in

@@ -44,7 +44,13 @@ type check = {
 
 val check : parsed -> check
 
-(** {1 Span tree} *)
+(** {1 Slices and the span tree} *)
+
+(** Request ids present in the trace with their event counts, busiest
+    first.  Daemon traces interleave many requests across worker domains;
+    the ambient span context ({!Telemetry.with_context}) stamps every
+    event with its request id, so one submit can be sliced back out. *)
+val request_ids : parsed -> (string * int) list
 
 type span = {
   id : int;
@@ -53,12 +59,17 @@ type span = {
   t0 : float;
   dur : float;
   self : float;  (** [dur] minus the summed durations of direct children *)
+  still_open : bool;
+      (** no end event in the slice: [dur] runs to the slice's last
+          timestamp *)
   begin_fields : Sink.fields;
-  end_fields : Sink.fields;
+  end_fields : Sink.fields;  (** [[]] for a span still open *)
 }
 
-(** Completed spans (both begin and end present) in completion order,
-    with self-times filled in. *)
+(** The one begin/end pairing behind {!report} and {!flame}: completed
+    spans in completion order, then spans still open at the end of the
+    trace (a killed run) in begin order, extended to its last timestamp.
+    Self-times are filled in. *)
 val spans : parsed -> span list
 
 (** {1 Per-phase wall-time attribution ([fecsynth trace report])} *)
@@ -66,12 +77,21 @@ val spans : parsed -> span list
 type phase = { phase : string; total_s : float; calls : int }
 
 type report = {
+  request : string option;  (** the sliced request id, [None] for the whole trace *)
   events : int;
-  wall_s : float;  (** last timestamp minus first *)
+  wall_s : float;  (** last slice timestamp minus first *)
+  queue_wait_s : float;
+      (** request slices only (else [0]): first event of the slice (the
+          admission point) to its first span *)
   busy_s : float;
-      (** summed root-span durations; exceeds [wall_s] when portfolio
+      (** summed root-span durations; exceeds [wall_s] when worker
           domains overlap *)
-  unattributed_s : float;  (** [max 0 (wall_s - busy_s)] *)
+  open_spans : int;  (** spans still open at the slice end, extended to it *)
+  attributed_s : float;
+      (** wall time covered by root spans (spans whose parent is not in
+          the slice) plus queue wait, as an interval union: never exceeds
+          [wall_s] *)
+  unattributed_s : float;  (** [wall_s - attributed_s] *)
   attributed_pct : float;
   iterations : int;
   phases : phase list;
@@ -81,7 +101,8 @@ type report = {
           inner-loop timing fields; [ctx.check] self-time appears as
           [smtlite.encode], [cegis.iteration] driver overhead as
           [cegis.loop], [portfolio.worker] self-time as
-          [portfolio.idle]. *)
+          [portfolio.idle], a request's queue wait as [queue.wait].
+          Totals can exceed the wall when worker domains overlap. *)
   sat_totals : (string * int) list;
       (** decisions/propagations/conflicts/restarts summed over solver
           calls *)
@@ -90,44 +111,11 @@ type report = {
           merged by name (slowest first) *)
 }
 
-val report : ?top:int -> parsed -> report
-
-(** {1 Request slicing ([fecsynth trace report --request])}
-
-    Daemon traces interleave many requests across worker domains; the
-    ambient span context ({!Telemetry.with_context}) stamps every event
-    with its request id, so one submit can be sliced back out and
-    attributed end to end: queue wait (admission point to first span),
-    then per-phase span self-times.  Spans still open at the end of the
-    slice — the stalled solve in a flight-recorder postmortem — are
-    extended to the slice's last timestamp so a reaped request's stall
-    is attributed to the phase it was stuck in. *)
-
-type request_phase = { rq_phase : string; rq_total_s : float; rq_calls : int }
-
-type request_report = {
-  rq_id : string;
-  rq_events : int;
-  rq_wall_s : float;  (** last slice timestamp minus first *)
-  rq_queue_wait_s : float;
-  rq_open_spans : int;
-  rq_phases : request_phase list;
-      (** named phases (same mapping as {!report}, plus [queue.wait]),
-          sorted by total self-time descending; totals can overlap when
-          worker domains run concurrently *)
-  rq_attributed_s : float;
-      (** wall time covered by queue wait plus root spans, as an interval
-          union (never exceeds [rq_wall_s]) *)
-  rq_attributed_pct : float;
-}
-
-(** Request ids present in the trace with their event counts, busiest
-    first. *)
-val request_ids : parsed -> (string * int) list
-
-(** [request_report ~request p] slices [p] to the events stamped with
-    [request]; [None] when the id never appears. *)
-val request_report : request:string -> parsed -> request_report option
+(** [report ?request ?top p] attributes the wall time of the whole trace
+    or, with [request], of the events stamped with that id — the same
+    computation on a smaller slice, plus the request's queue wait.
+    [None] only when [request] never appears in the trace. *)
+val report : ?request:string -> ?top:int -> parsed -> report option
 
 (** {1 Runtime lens ([fecsynth trace report] "runtime" section)} *)
 

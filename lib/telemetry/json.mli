@@ -1,6 +1,6 @@
 (** A minimal self-contained JSON representation: construction, compact
     one-line serialization (the NDJSON sink emits one value per line) and a
-    strict parser used by tests and [fecsynth trace-check] to validate
+    strict parser used by tests and [fecsynth trace check] to validate
     emitted traces.  No dependencies, no streaming — telemetry events are
     small. *)
 

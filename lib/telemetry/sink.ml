@@ -88,69 +88,3 @@ let memory () =
       flush = (fun () -> ());
     },
     fun () -> Mutex.protect mutex (fun () -> List.rev !events) )
-
-type summary = {
-  spans : (string * (int * float)) list;
-  counters : (string * int) list;
-  gauges : (string * float) list;
-  points : (string * int) list;
-}
-
-let summary () =
-  let mutex = Mutex.create () in
-  let spans : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
-  let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let gauges : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let points : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let emit ev =
-    Mutex.protect mutex (fun () ->
-        match ev with
-        | Span_begin _ -> ()
-        | Span_end { name; dur; _ } ->
-            let c, total =
-              Option.value (Hashtbl.find_opt spans name) ~default:(0, 0.0)
-            in
-            Hashtbl.replace spans name (c + 1, total +. dur)
-        | Counter { name; value; _ } ->
-            let c = Option.value (Hashtbl.find_opt counters name) ~default:0 in
-            Hashtbl.replace counters name (c + value)
-        | Gauge { name; value; _ } -> Hashtbl.replace gauges name value
-        | Point { name; _ } ->
-            let c = Option.value (Hashtbl.find_opt points name) ~default:0 in
-            Hashtbl.replace points name (c + 1))
-  in
-  let sorted tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let read () =
-    Mutex.protect mutex (fun () ->
-        {
-          spans = sorted spans;
-          counters = sorted counters;
-          gauges = sorted gauges;
-          points = sorted points;
-        })
-  in
-  ({ emit; flush = (fun () -> ()) }, read)
-
-let pp_summary fmt s =
-  let line pp_v (name, v) = Format.fprintf fmt "  %-32s %a@." name pp_v v in
-  if s.spans <> [] then begin
-    Format.fprintf fmt "spans (count, total seconds):@.";
-    List.iter
-      (line (fun fmt (c, t) -> Format.fprintf fmt "%8d %12.4f" c t))
-      s.spans
-  end;
-  if s.counters <> [] then begin
-    Format.fprintf fmt "counters:@.";
-    List.iter (line (fun fmt c -> Format.fprintf fmt "%8d" c)) s.counters
-  end;
-  if s.gauges <> [] then begin
-    Format.fprintf fmt "gauges (last value):@.";
-    List.iter (line (fun fmt g -> Format.fprintf fmt "%12.4f" g)) s.gauges
-  end;
-  if s.points <> [] then begin
-    Format.fprintf fmt "events:@.";
-    List.iter (line (fun fmt c -> Format.fprintf fmt "%8d" c)) s.points
-  end

@@ -66,20 +66,3 @@ val ndjson : out_channel -> t
 (** [memory ()] is a sink accumulating events in order plus a function
     retrieving the events seen so far. *)
 val memory : unit -> t * (unit -> event list)
-
-(** Aggregated view kept by the {!summary} sink, sorted by name:
-    per-span-name call count and total duration, per-counter totals,
-    last gauge values, and per-point-name occurrence counts. *)
-type summary = {
-  spans : (string * (int * float)) list;
-  counters : (string * int) list;
-  gauges : (string * float) list;
-  points : (string * int) list;
-}
-
-(** [summary ()] is a sink folding events into a {!summary} plus a
-    function reading the aggregate so far. *)
-val summary : unit -> t * (unit -> summary)
-
-(** [pp_summary] renders a summary as an aligned human-readable table. *)
-val pp_summary : Format.formatter -> summary -> unit

@@ -1,8 +1,9 @@
 (* Tests for Telemetry.Analyze: NDJSON parsing (including the tolerated
    truncated tail), trace validation (unbalanced spans, out-of-order
    timestamps), span self-times, the folded-stack golden output, phase
-   attribution on a real synthesized trace, and metric diffing with the
-   regression-threshold semantics the bench gate relies on. *)
+   attribution (a real synthesized trace, overlapping roots, open spans,
+   request slices), and metric diffing with the regression-threshold
+   semantics the bench gate relies on. *)
 
 module T = Telemetry
 module An = Telemetry.Analyze
@@ -141,17 +142,18 @@ let test_request_report_slices () =
       Alcotest.(check string) "busiest request" "r1-0" busiest;
       Alcotest.(check int) "its event count" 5 n
   | [] -> Alcotest.fail "no request ids found");
-  match An.request_report ~request:"r1-0" p with
+  match An.report ~request:"r1-0" p with
   | None -> Alcotest.fail "slice not found"
   | Some r ->
-      Alcotest.(check int) "events in slice" 5 r.An.rq_events;
-      Alcotest.(check (float 1e-9)) "wall" 1.5 r.An.rq_wall_s;
-      Alcotest.(check (float 1e-9)) "queue wait" 0.5 r.An.rq_queue_wait_s;
-      Alcotest.(check int) "no open spans" 0 r.An.rq_open_spans;
+      Alcotest.(check (option string)) "request id" (Some "r1-0") r.An.request;
+      Alcotest.(check int) "events in slice" 5 r.An.events;
+      Alcotest.(check (float 1e-9)) "wall" 1.5 r.An.wall_s;
+      Alcotest.(check (float 1e-9)) "queue wait" 0.5 r.An.queue_wait_s;
+      Alcotest.(check int) "no open spans" 0 r.An.open_spans;
       (* queue wait [0, 0.5] plus the root span [0.5, 1.5] tile the wall *)
-      Alcotest.(check (float 1e-9)) "fully attributed" 1.5 r.An.rq_attributed_s;
-      Alcotest.(check (float 1e-6)) "pct" 100.0 r.An.rq_attributed_pct;
-      if r.An.rq_phases = [] then Alcotest.fail "no phases attributed"
+      Alcotest.(check (float 1e-9)) "fully attributed" 1.5 r.An.attributed_s;
+      Alcotest.(check (float 1e-6)) "pct" 100.0 r.An.attributed_pct;
+      if r.An.phases = [] then Alcotest.fail "no phases attributed"
 
 let test_request_report_extends_open_spans () =
   (* a reaped request: the solve never ends.  The open span must be
@@ -162,17 +164,44 @@ let test_request_report_extends_open_spans () =
        {\"ts\":0.2,\"kind\":\"span_begin\",\"id\":5,\"name\":\"serve.request\",\"request\":\"r1-1\"}\n\
        {\"ts\":3.0,\"kind\":\"event\",\"name\":\"manager.reap\",\"request\":\"r1-1\",\"worker\":0}\n"
   in
-  match An.request_report ~request:"r1-1" p with
+  match An.report ~request:"r1-1" p with
   | None -> Alcotest.fail "slice not found"
   | Some r ->
-      Alcotest.(check int) "one open span" 1 r.An.rq_open_spans;
-      Alcotest.(check (float 1e-9)) "wall" 3.0 r.An.rq_wall_s;
-      if r.An.rq_attributed_pct < 90.0 then
+      Alcotest.(check int) "one open span" 1 r.An.open_spans;
+      Alcotest.(check (float 1e-9)) "wall" 3.0 r.An.wall_s;
+      if r.An.attributed_pct < 90.0 then
         Alcotest.failf "stalled request underattributed: %.1f%%"
-          r.An.rq_attributed_pct
+          r.An.attributed_pct
+
+(* a request slice gets the same sections as the whole trace: two
+   CEGIS iterations under the request span, the second one slower *)
+let test_request_report_iterations () =
+  let p =
+    parse_exn
+      "{\"ts\":0.0,\"kind\":\"event\",\"name\":\"serve.admit\",\"request\":\"r1-2\"}\n\
+       {\"ts\":0.1,\"kind\":\"span_begin\",\"id\":1,\"name\":\"serve.request\",\"request\":\"r1-2\"}\n\
+       {\"ts\":0.1,\"kind\":\"span_begin\",\"id\":2,\"parent\":1,\"name\":\"cegis.iteration\",\"iter\":1,\"request\":\"r1-2\"}\n\
+       {\"ts\":0.3,\"kind\":\"span_end\",\"id\":2,\"name\":\"cegis.iteration\",\"dur\":0.2,\"request\":\"r1-2\"}\n\
+       {\"ts\":0.3,\"kind\":\"span_begin\",\"id\":3,\"parent\":1,\"name\":\"cegis.iteration\",\"iter\":2,\"request\":\"r1-2\"}\n\
+       {\"ts\":0.4,\"kind\":\"span_begin\",\"id\":4,\"parent\":3,\"name\":\"sat.solve\",\"request\":\"r1-2\"}\n\
+       {\"ts\":0.9,\"kind\":\"span_end\",\"id\":4,\"name\":\"sat.solve\",\"dur\":0.5,\"conflicts\":7,\"request\":\"r1-2\"}\n\
+       {\"ts\":1.0,\"kind\":\"span_end\",\"id\":3,\"name\":\"cegis.iteration\",\"dur\":0.7,\"request\":\"r1-2\"}\n\
+       {\"ts\":1.0,\"kind\":\"span_end\",\"id\":1,\"name\":\"serve.request\",\"dur\":0.9,\"request\":\"r1-2\"}\n"
+  in
+  match An.report ~request:"r1-2" ~top:1 p with
+  | None -> Alcotest.fail "slice not found"
+  | Some r -> (
+      Alcotest.(check int) "iterations" 2 r.An.iterations;
+      Alcotest.(check (option int)) "sat conflicts" (Some 7)
+        (List.assoc_opt "conflicts" r.An.sat_totals);
+      match r.An.slowest with
+      | [ (2, dur, [ ("sat.solve", solve) ]) ] ->
+          Alcotest.(check (float 1e-9)) "slowest duration" 0.7 dur;
+          Alcotest.(check (float 1e-9)) "its solve" 0.5 solve
+      | _ -> Alcotest.fail "expected iteration 2 as the one slowest")
 
 let test_request_report_missing_id () =
-  match An.request_report ~request:"nope" (parse_exn request_trace) with
+  match An.report ~request:"nope" (parse_exn request_trace) with
   | None -> ()
   | Some _ -> Alcotest.fail "made up a slice for an absent request"
 
@@ -287,7 +316,7 @@ let test_report_on_real_trace () =
   | Synth.Report.Synthesized _ -> ()
   | _ -> Alcotest.fail "instance should synthesize");
   let p = { An.events = events (); truncated = false } in
-  let r = An.report p in
+  let r = Option.get (An.report p) in
   Alcotest.(check bool) "has iterations" true (r.An.iterations > 0);
   Alcotest.(check bool) "wall positive" true (r.An.wall_s > 0.0);
   let phase_names = List.map (fun ph -> ph.An.phase) r.An.phases in
@@ -324,6 +353,45 @@ let test_report_on_real_trace () =
     (List.assoc "propagations" r.An.sat_totals > 0);
   Alcotest.(check int) "slowest list bounded" 3
     (min 3 (List.length r.An.slowest))
+
+(* two root spans on two worker domains, [0, 0.6] and [0.2, 0.8], in a
+   1.0 s trace: the union covers 0.8 s although the roots sum to 1.2 s *)
+let test_report_overlapping_roots () =
+  let p =
+    parse_exn
+      "{\"ts\":0.0,\"kind\":\"span_begin\",\"id\":1,\"name\":\"portfolio.worker\",\"worker\":0}\n\
+       {\"ts\":0.2,\"kind\":\"span_begin\",\"id\":2,\"name\":\"portfolio.worker\",\"worker\":1}\n\
+       {\"ts\":0.6,\"kind\":\"span_end\",\"id\":1,\"name\":\"portfolio.worker\",\"dur\":0.6,\"worker\":0}\n\
+       {\"ts\":0.8,\"kind\":\"span_end\",\"id\":2,\"name\":\"portfolio.worker\",\"dur\":0.6,\"worker\":1}\n\
+       {\"ts\":1.0,\"kind\":\"event\",\"name\":\"portfolio.winner\"}\n"
+  in
+  let r = Option.get (An.report p) in
+  Alcotest.(check (float 1e-9)) "busy sums the roots" 1.2 r.An.busy_s;
+  Alcotest.(check (float 1e-9)) "attributed is their union" 0.8
+    r.An.attributed_s;
+  Alcotest.(check (float 1e-6)) "pct" 80.0 r.An.attributed_pct;
+  Alcotest.(check (float 1e-9)) "unattributed" 0.2 r.An.unattributed_s
+
+(* a killed run: the trace is cut inside a solve, whose time still
+   counts for its phase up to the last timestamp *)
+let test_report_open_span () =
+  let p =
+    parse_exn
+      "{\"ts\":0.0,\"kind\":\"span_begin\",\"id\":1,\"name\":\"ctx.check\"}\n\
+       {\"ts\":0.1,\"kind\":\"span_end\",\"id\":1,\"name\":\"ctx.check\",\"dur\":0.1}\n\
+       {\"ts\":0.1,\"kind\":\"span_begin\",\"id\":2,\"name\":\"sat.solve\"}\n\
+       {\"ts\":2.0,\"kind\":\"event\",\"name\":\"manager.tick\"}\n\
+       {\"ts\":2.1,\"kind\":\"span_e"
+  in
+  Alcotest.(check bool) "truncated" true p.An.truncated;
+  let r = Option.get (An.report p) in
+  Alcotest.(check int) "open spans" 1 r.An.open_spans;
+  Alcotest.(check (float 1e-6)) "fully attributed" 100.0 r.An.attributed_pct;
+  Alcotest.(check (option (float 1e-9))) "solve phase" (Some 1.9)
+    (List.find_opt (fun ph -> ph.An.phase = "sat.solve") r.An.phases
+    |> Option.map (fun ph -> ph.An.total_s));
+  Alcotest.(check string) "flame carries the stall"
+    "ctx.check 100000\nsat.solve 1900000\n" (An.flame_to_string p)
 
 (* ---------------------------------------------------------------- *)
 (* metric extraction and diffing                                     *)
@@ -416,13 +484,21 @@ let () =
             test_runtime_section_absent;
         ] );
       ( "report",
-        [ Alcotest.test_case "real trace" `Quick test_report_on_real_trace ] );
+        [
+          Alcotest.test_case "real trace" `Quick test_report_on_real_trace;
+          Alcotest.test_case "overlapping roots attributed as a union" `Quick
+            test_report_overlapping_roots;
+          Alcotest.test_case "open span attributed to its phase" `Quick
+            test_report_open_span;
+        ] );
       ( "request",
         [
           Alcotest.test_case "slices one request" `Quick
             test_request_report_slices;
           Alcotest.test_case "extends open spans" `Quick
             test_request_report_extends_open_spans;
+          Alcotest.test_case "iterations and slowest" `Quick
+            test_request_report_iterations;
           Alcotest.test_case "missing id" `Quick test_request_report_missing_id;
         ] );
       ( "diff",

@@ -92,34 +92,6 @@ let test_span_exception_still_ends () =
   Alcotest.(check (list string)) "span ended despite exception" [ "failing" ] ends
 
 (* ---------------------------------------------------------------- *)
-(* counter/gauge merging via the summary sink                        *)
-(* ---------------------------------------------------------------- *)
-
-let test_summary_merging () =
-  let sink, read = Sink.summary () in
-  T.with_sink sink (fun () ->
-      T.counter "apples" 2;
-      T.counter "apples" 3;
-      T.counter "pears" 1;
-      T.gauge "level" 1.5;
-      T.gauge "level" 2.5;
-      T.point "tick";
-      T.point "tick";
-      T.span "work" (fun () -> ());
-      T.span "work" (fun () -> ()));
-  let s = read () in
-  Alcotest.(check (list (pair string int)))
-    "counters summed" [ ("apples", 5); ("pears", 1) ] s.Sink.counters;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "gauge keeps last" [ ("level", 2.5) ] s.Sink.gauges;
-  Alcotest.(check (list (pair string int)))
-    "points counted" [ ("tick", 2) ] s.Sink.points;
-  (match s.Sink.spans with
-  | [ ("work", (2, total)) ] ->
-      if total < 0.0 then Alcotest.fail "negative total span duration"
-  | _ -> Alcotest.fail "expected one span row with count 2")
-
-(* ---------------------------------------------------------------- *)
 (* NDJSON sink well-formedness                                       *)
 (* ---------------------------------------------------------------- *)
 
@@ -560,9 +532,6 @@ let () =
           Alcotest.test_case "exception still ends span" `Quick
             test_span_exception_still_ends;
         ] );
-      ( "summary",
-        [ Alcotest.test_case "counter/gauge/point merging" `Quick
-            test_summary_merging ] );
       ( "ndjson",
         [
           Alcotest.test_case "every line parses" `Quick

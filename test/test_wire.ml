@@ -32,16 +32,23 @@ let config ?(grace = 0.5) ?(max_frame = 1 lsl 20) ?cache_dir ~dir () =
 
 let start cfg = Domain.spawn (fun () -> try Srv.run cfg with _ -> ())
 
+(* [Srv.run] binds the socket file before it listens, so a connect in
+   between is refused: wait (up to 10 s) for one to succeed, not for the
+   file to appear. *)
 let wait_socket path =
-  let rec go n =
-    if n = 0 then Alcotest.fail "server did not come up"
-    else if Sys.file_exists path then ()
-    else begin
-      Unix.sleepf 0.05;
-      go (n - 1)
-    end
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> Unix.close fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+        Unix.close fd;
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "server did not come up";
+        Unix.sleepf 0.05;
+        go ()
   in
-  go 200
+  go ()
 
 let shutdown socket =
   let t = Client.connect socket in
