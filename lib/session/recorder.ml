@@ -53,11 +53,11 @@ let install_hook () =
               ignore (Telemetry.Flight.dump ~reason:"crash" ()))
   end
 
-let start ?no_ledger ?dir ~subcommand ~problem ~config () =
+let start ?no_ledger ?dir ?journaled ~subcommand ~problem ~config () =
   if not (enabled ?no_ledger ()) then Inert
   else begin
     let pending =
-      Telemetry.Ledger.start ?dir
+      Telemetry.Ledger.start ?dir ?journaled
         ~ts:(Telemetry.Ledger.utc_timestamp ())
         ~subcommand ~problem ~config
         ~build:(Lazy.force build)
@@ -70,6 +70,10 @@ let start ?no_ledger ?dir ~subcommand ~problem ~config () =
         Hashtbl.replace registry id pending;
         Live { id; pending })
   end
+
+let journal = function
+  | Inert -> ()
+  | Live { pending; _ } -> Telemetry.Ledger.journal pending
 
 let finish ?stats ?metrics ?cache_hit token ~outcome ~exit_code () =
   match token with

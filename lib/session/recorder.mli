@@ -22,16 +22,23 @@ type token
     flag or [FEC_NO_LEDGER=1]. *)
 val enabled : ?no_ledger:bool -> unit -> bool
 
-(** [start ?no_ledger ?dir ~subcommand ~problem ~config ()] begins a
-    pending ledger record (or returns an inert token when opted out). *)
+(** [start ?no_ledger ?dir ?journaled ~subcommand ~problem ~config ()]
+    begins a pending ledger record (or returns an inert token when opted
+    out).  [~journaled:false] defers its in-flight crash journal to
+    {!journal} (see {!Telemetry.Ledger.start}). *)
 val start :
   ?no_ledger:bool ->
   ?dir:string ->
+  ?journaled:bool ->
   subcommand:string ->
   problem:string ->
   config:(string * string) list ->
   unit ->
   token
+
+(** [journal token] writes a deferred in-flight journal; a no-op for
+    inert tokens and for records already journaled or finished. *)
+val journal : token -> unit
 
 (** [finish ?stats ?metrics ?cache_hit token ~outcome ~exit_code ()]
     appends the record.  Idempotent; inert tokens are a no-op. *)

@@ -325,9 +325,11 @@ let analyze = function
 let run_job ?on_report ~intr ~t0 request =
   let problem, job_config = ledger_problem request.job in
   let entry key = function Some v -> [ (key, v) ] | None -> [] in
+  (* the crash journal waits for a cache miss: a served hit finishes
+     without creating and unlinking a file *)
   let token =
     Recorder.start ~no_ledger:request.no_ledger ?dir:request.ledger_dir
-      ~subcommand:request.subcommand ~problem
+      ~journaled:false ~subcommand:request.subcommand ~problem
       ~config:
         ((("timeout", string_of_float request.timeout) :: job_config)
         @ entry "checkpoint" request.checkpoint
@@ -379,6 +381,7 @@ let run_job ?on_report ~intr ~t0 request =
   match cache_lookup ctx with
   | Some entry -> finish ~hit:true (Codes ([ entry.Cache.code ], hit_stats entry))
   | None ->
+      Recorder.journal token;
       (* a resumed walk replays the pool and starts at the check length
          its checkpoint reached *)
       let initial, resumed_iters, start =

@@ -252,10 +252,14 @@ type pending = {
 (* ---------- the in-flight journal ----------
 
    The at_exit crash hook covers uncaught exceptions, but a SIGKILL (or
-   power loss) gives no exit path at all.  So every pending record also
+   power loss) gives no exit path at all.  So a pending record also
    writes one small journal file — a complete would-be "crash" ledger
    line — under <dir>/inflight/, named <pid>.<seq>; finishing the record
-   removes it.  {!scavenge}, run at daemon startup, appends any journal
+   removes it.  {!start} writes it at once unless told to defer, and
+   {!journal} writes a deferred one.  A session run defers it until it
+   starts solving: a file created and unlinked for every served cache
+   hit made the hit's latency follow the file system's state from one
+   run to the next.  {!scavenge}, run at daemon startup, appends any journal
    whose owning pid is dead to the ledger and deletes it: in-flight work
    of a killed process becomes first-class crash history on next start. *)
 
@@ -278,20 +282,21 @@ let crash_entry p =
     stats = None;
   }
 
-let journal_start p =
-  try
-    let dir = journal_dir p.p_dir in
-    mkdir_p dir;
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "%d.%d" (Unix.getpid ())
-           (Atomic.fetch_and_add journal_seq 1))
-    in
-    let oc = open_out_bin path in
-    output_string oc (render (crash_entry p) ^ "\n");
-    close_out oc;
-    p.p_journal <- Some path
-  with Sys_error _ | Unix.Unix_error _ -> ()
+let journal p =
+  if p.p_journal = None && not p.p_recorded then
+    try
+      let dir = journal_dir p.p_dir in
+      mkdir_p dir;
+      let path =
+        Filename.concat dir
+          (Printf.sprintf "%d.%d" (Unix.getpid ())
+             (Atomic.fetch_and_add journal_seq 1))
+      in
+      let oc = open_out_bin path in
+      output_string oc (render (crash_entry p) ^ "\n");
+      close_out oc;
+      p.p_journal <- Some path
+    with Sys_error _ | Unix.Unix_error _ -> ()
 
 let journal_finish p =
   match p.p_journal with
@@ -347,7 +352,7 @@ let scavenge ~dir =
         names);
   (!recovered, repaired)
 
-let start ?dir ~ts ~subcommand ~problem ~config ~build () =
+let start ?dir ?(journaled = true) ~ts ~subcommand ~problem ~config ~build () =
   let p =
     {
       p_dir = (match dir with Some d -> d | None -> default_dir ());
@@ -361,7 +366,7 @@ let start ?dir ~ts ~subcommand ~problem ~config ~build () =
       p_journal = None;
     }
   in
-  journal_start p;
+  if journaled then journal p;
   p
 
 (* Idempotent, and never lets a ledger failure break the command it is

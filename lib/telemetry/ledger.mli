@@ -90,9 +90,9 @@ val append : dir:string -> entry -> unit
 val repair_tail : dir:string -> bool
 
 (** [scavenge ~dir] is the crash-safe-restart sweep: repairs the torn
-    tail, then recovers the in-flight journal — every {!start} writes a
-    would-be ["crash"] record under [<dir>/inflight/] and {!finish}
-    removes it, so a journal file whose owning pid is dead marks a run
+    tail, then recovers the in-flight journal — every pending record
+    writes a would-be ["crash"] record under [<dir>/inflight/] (at
+    {!start}, or at {!journal} when deferred) and {!finish} removes it, so a journal file whose owning pid is dead marks a run
     killed mid-flight (SIGKILL, power loss).  Each such record is
     appended to the ledger as a first-class ["crash"] entry and its
     journal deleted.  Returns [(recovered, tail_repaired)]. *)
@@ -104,8 +104,12 @@ val scavenge : dir:string -> int * bool
     [at_exit] hook when no explicit outcome was recorded. *)
 type pending
 
+(** [start ?dir ?journaled ...] begins a pending record.  With
+    [~journaled:false] it writes no in-flight journal until {!journal}
+    is called, so a run killed before then leaves no ["crash"] record. *)
 val start :
   ?dir:string ->
+  ?journaled:bool ->
   ts:string ->
   subcommand:string ->
   problem:string ->
@@ -113,6 +117,10 @@ val start :
   build:Buildinfo.t ->
   unit ->
   pending
+
+(** [journal p] writes [p]'s in-flight journal if [p] has none yet and
+    is not finished; a no-op otherwise. *)
+val journal : pending -> unit
 
 (** Idempotent: only the first [finish] appends.  [wall_s] is measured
     from {!start} and prepended to [metrics].  A ledger I/O failure is

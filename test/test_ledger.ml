@@ -351,6 +351,28 @@ let test_journal_lifecycle () =
   Alcotest.(check int) "finish removes it" 0
     (Array.length (Sys.readdir jdir))
 
+let test_deferred_journal () =
+  let dir = tmpdir () in
+  let jdir = Filename.concat dir "inflight" in
+  let start () =
+    L.start ~dir ~journaled:false ~ts:"2026-08-08T00:00:00Z"
+      ~subcommand:"serve" ~problem:"md(G[0]) = 3" ~config:[] ~build ()
+  in
+  let journals () =
+    if Sys.file_exists jdir then Array.length (Sys.readdir jdir) else 0
+  in
+  let p = start () in
+  Alcotest.(check int) "deferred start writes none" 0 (journals ());
+  L.journal p;
+  L.journal p;
+  Alcotest.(check int) "journal writes one, once" 1 (journals ());
+  L.finish p ~outcome:"ok" ~exit_code:0;
+  Alcotest.(check int) "finish removes it" 0 (journals ());
+  let q = start () in
+  L.finish q ~outcome:"ok" ~exit_code:0;
+  L.journal q;
+  Alcotest.(check int) "no journal after finish" 0 (journals ())
+
 let test_scavenge_recovers_crash () =
   let dir = tmpdir () in
   let jdir = Filename.concat dir "inflight" in
@@ -405,6 +427,7 @@ let () =
           Alcotest.test_case "torn tail repaired" `Quick test_repair_tail;
           Alcotest.test_case "in-flight journal lifecycle" `Quick
             test_journal_lifecycle;
+          Alcotest.test_case "deferred journal" `Quick test_deferred_journal;
           Alcotest.test_case "scavenge turns dead journals into crash \
                               records" `Quick test_scavenge_recovers_crash;
         ] );

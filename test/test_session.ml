@@ -386,6 +386,29 @@ let test_walk_totals () =
   Alcotest.(check int) "optimize totals" 11 (iterations_of opt);
   Alcotest.(check int) "synth walk totals" (iterations_of opt) (iterations_of synth)
 
+let test_hit_writes_no_journal () =
+  (* a miss journals its in-flight record before solving (the journal
+     directory appears, emptied again on finish); a cache hit finishes
+     without writing one *)
+  let cache_dir = tmpdir () in
+  let run () =
+    let ledger = tmpdir () in
+    let request =
+      {
+        (Session.default_request (synth_job (prop_of ~k:4 ~c:3 ~md:3))) with
+        Session.ledger_dir = Some ledger;
+        cache = true;
+        cache_dir = Some cache_dir;
+      }
+    in
+    let r = Session.run_sync request in
+    let inflight = Filename.concat ledger "inflight" in
+    (* the journal directory's entry count, None when it was never made *)
+    (r.Session.cache_hit, if Sys.file_exists inflight then Some (Array.length (Sys.readdir inflight)) else None)
+  in
+  Alcotest.(check (pair bool (option int))) "miss: journaled, then removed" (false, Some 0) (run ());
+  Alcotest.(check (pair bool (option int))) "hit: never journaled" (true, None) (run ())
+
 let test_portfolio_shares_scope () =
   (* both portfolio spawn sites (the synthesis race and the verification
      race) must carry the caller's scope into their worker domains *)
@@ -454,5 +477,7 @@ let () =
             test_outcome_table;
           Alcotest.test_case "a minimal(len_c) walk reports its totals" `Quick
             test_walk_totals;
+          Alcotest.test_case "a cache hit writes no crash journal" `Quick
+            test_hit_writes_no_journal;
         ] );
     ]
