@@ -1,53 +1,41 @@
 (* fecsynth: command-line front end to the FEC synthesis framework.
 
-   Subcommands: synth, verify, distance, analyze, emit, robustness.
+   Subcommands:
+   - synthesis: synth, optimize (one run path, one answer renderer);
+   - the daemon and its clients: serve, submit, call, top, cache;
+   - codes: verify, certify, distance, analyze, emit, robustness;
+   - tools: smt, trace, runs, version.
    Codes are given as Registry descriptors (e.g. "shortened:120:8",
    "parity:16", "matrix:1000101-0100110-0010111-0001011") or as
-   "@file" pointing at a generator-matrix text file. *)
+   "@file" pointing at a generator-matrix text file; properties inline
+   or as "@file" too. *)
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* The session layer runs synth/optimize jobs and owns their outcome
+   rule, exit codes, answer object and SIGINT handling. *)
+module Session = Fec_session.Session
 
 let load_code spec =
   if String.length spec > 0 && spec.[0] = '@' then
-    Hamming.Code.of_string (read_file (String.sub spec 1 (String.length spec - 1)))
+    Hamming.Code.of_string
+      (In_channel.with_open_bin
+         (String.sub spec 1 (String.length spec - 1))
+         In_channel.input_all)
   else Fec_core.Registry.code_of_string spec
-
-let load_prop spec =
-  if String.length spec > 0 && spec.[0] = '@' then
-    Spec.Parse.prop_file (read_file (String.sub spec 1 (String.length spec - 1)))
-  else Spec.Parse.prop spec
-
-(* ---------- interrupt handling and exit codes ---------- *)
-
-(* SIGINT handling (first Ctrl-C winds down cooperatively, the second
-   aborts) lives in the session layer, shared with everything else the
-   synth/optimize runs need. *)
-module Session = Fec_session.Session
-
-let exit_unsat = 3
-let exit_timeout = 4
-let exit_partial = 5
-let exit_interrupted = 130
 
 let synth_exits =
   Cmdliner.Cmd.Exit.defaults
   @ [
-      Cmdliner.Cmd.Exit.info exit_unsat
+      Cmdliner.Cmd.Exit.info Session.exit_unsat
         ~doc:"the specification is unsatisfiable.";
-      Cmdliner.Cmd.Exit.info exit_timeout
+      Cmdliner.Cmd.Exit.info Session.exit_timeout
         ~doc:"the time budget expired with nothing to report.";
-      Cmdliner.Cmd.Exit.info exit_partial
+      Cmdliner.Cmd.Exit.info Session.exit_partial
         ~doc:
           "the budget expired before verification; the best unverified \
            candidate was reported.";
-      Cmdliner.Cmd.Exit.info exit_interrupted
+      Cmdliner.Cmd.Exit.info Session.exit_interrupted
         ~doc:
           "interrupted by SIGINT after flushing traces, checkpoints and \
            partial results.";
@@ -86,17 +74,6 @@ let resume_arg =
 
 module J = Telemetry.Json
 
-let code_json code =
-  J.Obj
-    [
-      ("descriptor", J.Str (Fec_core.Registry.describe_code code));
-      ("block_len", J.Int (Hamming.Code.block_len code));
-      ("data_len", J.Int (Hamming.Code.data_len code));
-      ("min_distance", J.Int (Hamming.Distance.min_distance code));
-      ("set_bits", J.Int (Hamming.Code.set_bits code));
-      ("matrix", J.Str (Hamming.Code.to_string code));
-    ]
-
 (* ---------- synth ---------- *)
 
 let weights_conv =
@@ -123,10 +100,97 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let portfolio_json report =
-  match report with
-  | None -> []
-  | Some r -> [ ("portfolio", Synth.Portfolio.report_to_json r) ]
+(* The text rendering of an answer, one form per outcome. *)
+let print_answer (result : Session.result) =
+  let intr = result.Session.interrupted in
+  let print_stats (s : Synth.Report.Stats.t) =
+    Printf.printf "iterations: %d, time: %.2f s\n" s.iterations s.elapsed
+  in
+  match result.Session.outcome with
+  | Session.Codes (codes, stats) ->
+      List.iter
+        (fun code ->
+          Printf.printf "synthesized (%d,%d) generator, md %d, %d set bits:\n%s\n"
+            (Hamming.Code.block_len code) (Hamming.Code.data_len code)
+            (Hamming.Distance.min_distance code) (Hamming.Code.set_bits code)
+            (Hamming.Code.to_string code);
+          Printf.printf "descriptor: %s\n" (Fec_core.Registry.describe_code code))
+        codes;
+      print_stats stats
+  | Session.Optimized ({ code; check_len; _ }, stats) ->
+      Printf.printf "minimal check length %d: (%d,%d) generator, md %d:\n%s\n"
+        check_len (Hamming.Code.block_len code) (Hamming.Code.data_len code)
+        (Hamming.Distance.min_distance code)
+        (Hamming.Code.to_string code);
+      print_stats stats
+  | Session.Setbits steps -> (
+      List.iter
+        (fun (s : Synth.Optimize.setbits_step) ->
+          Printf.printf "bound %d -> achieved %d (%d iterations, %.2f s)\n"
+            s.bound s.achieved s.step_stats.iterations s.step_stats.elapsed)
+        steps;
+      match List.rev steps with
+      | best :: _ ->
+          Printf.printf "\nbest generator (%d set bits):\n%s\n" best.achieved
+            (Hamming.Code.to_string best.generator)
+      | [] -> ())
+  | Session.Weighted w ->
+      let t0, t1 = w.counts and c0, c1 = w.codes in
+      Printf.printf
+        "mapping: %s (split %d/%d), sum_w = %.4f%s, %d iterations, %.2f s\n"
+        (String.concat "" (Array.to_list (Array.map string_of_int w.mapping)))
+        t0 t1 w.sum_w
+        (if w.optimal then " (proved optimal)" else "")
+        w.iterations w.elapsed;
+      Printf.printf "generator 0:\n%s\ngenerator 1:\n%s\n"
+        (Hamming.Code.to_string c0) (Hamming.Code.to_string c1)
+  | Session.Partial { code; achieved; check_len; stats } ->
+      Printf.printf "partial: %s %s\n"
+        (if intr then "interrupted" else "budget expired")
+        (match check_len with
+        | Some c -> Printf.sprintf "at check length %d" c
+        | None -> "before verification finished");
+      Printf.printf
+        "best candidate so far: (%d,%d) generator, achieved md %d:\n%s\n"
+        (Hamming.Code.block_len code) (Hamming.Code.data_len code) achieved
+        (Hamming.Code.to_string code);
+      print_stats stats
+  | Session.Unsat { reason; _ } -> Printf.printf "unsatisfiable: %s\n" reason
+  | Session.Timeout { reason; _ } ->
+      Printf.printf "%s: %s\n" (if intr then "interrupted" else "timeout") reason
+
+(* The one run path of synth and optimize: run the request, render its
+   answer as text or as [{"command"} + the answer object + "portfolio"],
+   and exit with the answer's code. *)
+let run_session fmt request =
+  Session.install_sigint ();
+  let on_report report =
+    if fmt = Output.Text then Format.printf "%a" Synth.Portfolio.pp_report report
+  in
+  match Session.run_sync ~on_report request with
+  | exception Session.Invalid_request msg -> `Error (false, msg)
+  | result ->
+      (match (result.Session.resumed, fmt) with
+      | Some r, Output.Text ->
+          Printf.printf
+            "resumed from checkpoint: %d counterexamples, %d prior iterations%s\n"
+            r.cex_count r.prior_iterations
+            (match request.Session.job with
+            | Session.Optimize _ ->
+                Printf.sprintf ", starting at check length %d" r.start_check
+            | Session.Synth _ -> "")
+      | _ -> ());
+      Output.result fmt
+        ~text:(fun () -> print_answer result)
+        ~json:(fun () ->
+          (("command", J.Str request.Session.subcommand)
+          :: Session.result_fields result)
+          @
+          match result.Session.report with
+          | Some r -> [ ("portfolio", Synth.Portfolio.report_to_json r) ]
+          | None -> []);
+      if result.Session.exit_code = 0 then `Ok ()
+      else exit result.Session.exit_code
 
 let synth_cmd =
   let weights =
@@ -144,192 +208,23 @@ let synth_cmd =
   let run prop_spec timeout weights portfolio jobs checkpoint resume cache
       cache_dir trace metrics progress runtime_lens no_ledger fmt =
     if jobs < 1 then `Error (false, "--jobs must be >= 1")
-    else begin
-    Session.install_sigint ();
-    let on_report report =
-      if fmt = Output.Text then
-        Format.printf "%a" Synth.Portfolio.pp_report report
-    in
-    let request =
-      {
-        (Session.default_request
-           (Session.Synth { prop = prop_spec; weights; portfolio; jobs }))
-        with
-        Session.timeout;
-        checkpoint;
-        resume;
-        cache;
-        cache_dir;
-        no_ledger;
-        trace;
-        metrics;
-        progress;
-        runtime_lens;
-      }
-    in
-    match Session.run_sync ~on_report request with
-    | exception Session.Invalid_request msg -> `Error (false, msg)
-    | result ->
-    (match (result.Session.resumed, fmt) with
-    | Some r, Output.Text ->
-        Printf.printf
-          "resumed from checkpoint: %d counterexamples, %d prior iterations\n"
-          r.Session.cex_count r.Session.prior_iterations
-    | _ -> ());
-    let intr = result.Session.interrupted in
-    match result.Session.outcome with
-    | Session.Codes (codes, stats) ->
-        Output.result fmt
-          ~text:(fun () ->
-            List.iter
-              (fun code ->
-                Printf.printf "synthesized (%d,%d) generator, md %d, %d set bits:\n%s\n"
-                  (Hamming.Code.block_len code) (Hamming.Code.data_len code)
-                  (Hamming.Distance.min_distance code) (Hamming.Code.set_bits code)
-                  (Hamming.Code.to_string code);
-                Printf.printf "descriptor: %s\n" (Fec_core.Registry.describe_code code))
-              codes;
-            Printf.printf "iterations: %d, time: %.2f s\n"
-              stats.Synth.Report.Stats.iterations stats.Synth.Report.Stats.elapsed)
-          ~json:(fun () ->
-            [
-              ("command", J.Str "synth");
-              ("outcome", J.Str "synthesized");
-              ("cache_hit", J.Bool result.Session.cache_hit);
-              ("codes", J.List (List.map code_json codes));
-              ("stats", Synth.Report.Stats.to_json stats);
-            ]
-            @ portfolio_json result.Session.report);
-        `Ok ()
-    | Session.Setbits steps ->
-        Output.result fmt
-          ~text:(fun () ->
-            List.iter
-              (fun s ->
-                Printf.printf "bound %d -> achieved %d (%d iterations, %.2f s)\n"
-                  s.Synth.Optimize.bound s.Synth.Optimize.achieved
-                  s.Synth.Optimize.step_stats.Synth.Report.Stats.iterations
-                  s.Synth.Optimize.step_stats.Synth.Report.Stats.elapsed)
-              steps;
-            match List.rev steps with
-            | best :: _ ->
-                Printf.printf "\nbest generator (%d set bits):\n%s\n"
-                  best.Synth.Optimize.achieved
-                  (Hamming.Code.to_string best.Synth.Optimize.generator)
-            | [] -> ())
-          ~json:(fun () ->
-            [
-              ("command", J.Str "synth");
-              ("outcome", J.Str "setbits_walk");
-              ( "steps",
-                J.List
-                  (List.map
-                     (fun s ->
-                       J.Obj
-                         [
-                           ("bound", J.Int s.Synth.Optimize.bound);
-                           ("achieved", J.Int s.Synth.Optimize.achieved);
-                           ( "generator",
-                             J.Str
-                               (Hamming.Code.to_string s.Synth.Optimize.generator)
-                           );
-                           ( "stats",
-                             Synth.Report.Stats.to_json
-                               s.Synth.Optimize.step_stats );
-                         ])
-                     steps) );
-              ( "stats",
-                Synth.Report.Stats.to_json
-                  (Synth.Report.Stats.sum
-                     (List.map (fun s -> s.Synth.Optimize.step_stats) steps)) );
-            ]
-            @ portfolio_json result.Session.report);
-        `Ok ()
-    | Session.Weighted r ->
-        Output.result fmt
-          ~text:(fun () ->
-            let t0, t1 = r.Synth.Weighted.counts in
-            Printf.printf
-              "mapping: %s (split %d/%d), sum_w = %.4f%s, %d iterations, %.2f s\n"
-              (String.concat ""
-                 (Array.to_list (Array.map string_of_int r.Synth.Weighted.mapping)))
-              t0 t1 r.Synth.Weighted.sum_w
-              (if r.Synth.Weighted.optimal then " (proved optimal)" else "")
-              r.Synth.Weighted.iterations r.Synth.Weighted.elapsed;
-            let c0, c1 = r.Synth.Weighted.codes in
-            Printf.printf "generator 0:\n%s\ngenerator 1:\n%s\n"
-              (Hamming.Code.to_string c0) (Hamming.Code.to_string c1))
-          ~json:(fun () ->
-            let t0, t1 = r.Synth.Weighted.counts in
-            let c0, c1 = r.Synth.Weighted.codes in
-            [
-              ("command", J.Str "synth");
-              ("outcome", J.Str "weighted");
-              ( "mapping",
-                J.Str
-                  (String.concat ""
-                     (Array.to_list
-                        (Array.map string_of_int r.Synth.Weighted.mapping))) );
-              ("split", J.List [ J.Int t0; J.Int t1 ]);
-              ("sum_w", J.Float r.Synth.Weighted.sum_w);
-              ("optimal", J.Bool r.Synth.Weighted.optimal);
-              ("iterations", J.Int r.Synth.Weighted.iterations);
-              ("elapsed_s", J.Float r.Synth.Weighted.elapsed);
-              ("codes", J.List [ code_json c0; code_json c1 ]);
-            ]);
-        `Ok ()
-    | Session.Partial { code; achieved; check_len = _; stats } ->
-        Output.result fmt
-          ~text:(fun () ->
-            Printf.printf "partial: %s before verification finished\n"
-              (if intr then "interrupted" else "budget expired");
-            Printf.printf
-              "best candidate so far: (%d,%d) generator, achieved md %d:\n%s\n"
-              (Hamming.Code.block_len code) (Hamming.Code.data_len code)
-              achieved (Hamming.Code.to_string code);
-            Printf.printf "iterations: %d, time: %.2f s\n"
-              stats.Synth.Report.Stats.iterations stats.Synth.Report.Stats.elapsed)
-          ~json:(fun () ->
-            [
-              ("command", J.Str "synth");
-              ("outcome", J.Str "partial");
-              ("interrupted", J.Bool intr);
-              ("achieved_md", J.Int achieved);
-              ("codes", J.List [ code_json code ]);
-              ("stats", Synth.Report.Stats.to_json stats);
-            ]
-            @ portfolio_json result.Session.report);
-        exit result.Session.exit_code
-    | Session.Unsat { reason; stats = _ } ->
-        Output.result fmt
-          ~text:(fun () -> Printf.printf "unsatisfiable: %s\n" reason)
-          ~json:(fun () ->
-            [
-              ("command", J.Str "synth");
-              ("outcome", J.Str "unsat");
-              ("reason", J.Str reason);
-            ]
-            @ portfolio_json result.Session.report);
-        exit result.Session.exit_code
-    | Session.Timeout { reason; stats = _ } ->
-        Output.result fmt
-          ~text:(fun () ->
-            Printf.printf "%s: %s\n"
-              (if intr then "interrupted" else "timeout")
-              reason)
-          ~json:(fun () ->
-            [
-              ("command", J.Str "synth");
-              ( "outcome",
-                J.Str (if intr then "interrupted" else "timeout") );
-              ("reason", J.Str reason);
-            ]
-            @ portfolio_json result.Session.report);
-        exit result.Session.exit_code
-    | Session.Optimized _ ->
-        (* a synth job never yields an optimize outcome *)
-        assert false
-    end
+    else
+      run_session fmt
+        {
+          (Session.default_request
+             (Session.Synth { prop = prop_spec; weights; portfolio; jobs }))
+          with
+          Session.timeout;
+          checkpoint;
+          resume;
+          cache;
+          cache_dir;
+          no_ledger;
+          trace;
+          metrics;
+          progress;
+          runtime_lens;
+        }
   in
   let doc = "Synthesize generators from a property specification (CEGIS)." in
   Cmd.v (Cmd.info "synth" ~doc ~exits:synth_exits)
@@ -365,9 +260,8 @@ let optimize_cmd =
     if data_len < 1 || md < 1 || check_lo < 1 || check_hi < check_lo then
       `Error
         (false, "need data-len >= 1, min-distance >= 1, 1 <= check-lo <= check-hi")
-    else begin
-      Session.install_sigint ();
-      let request =
+    else
+      run_session fmt
         {
           (Session.default_request
              (Session.Optimize { data_len; md; check_lo; check_hi }))
@@ -383,89 +277,6 @@ let optimize_cmd =
           progress;
           runtime_lens;
         }
-      in
-      match Session.run_sync request with
-      | exception Session.Invalid_request msg -> `Error (false, msg)
-      | result ->
-      (match (result.Session.resumed, fmt) with
-      | Some r, Output.Text ->
-          Printf.printf
-            "resumed from checkpoint: %d counterexamples, %d prior iterations, \
-             starting at check length %d\n"
-            r.Session.cex_count r.Session.prior_iterations r.Session.start_check
-      | _ -> ());
-      let intr = result.Session.interrupted in
-      let stats_json totals =
-        [ ("stats", Synth.Report.Stats.to_json totals) ]
-      in
-      match result.Session.outcome with
-      | Session.Optimized (r, totals) ->
-          Output.result fmt
-            ~text:(fun () ->
-              let code = r.Synth.Optimize.code in
-              Printf.printf
-                "minimal check length %d: (%d,%d) generator, md %d:\n%s\n"
-                r.Synth.Optimize.check_len (Hamming.Code.block_len code)
-                (Hamming.Code.data_len code)
-                (Hamming.Distance.min_distance code)
-                (Hamming.Code.to_string code);
-              Printf.printf "iterations: %d, time: %.2f s\n" totals.Synth.Report.Stats.iterations
-                totals.Synth.Report.Stats.elapsed)
-            ~json:(fun () ->
-              [
-                ("command", J.Str "optimize");
-                ("outcome", J.Str "synthesized");
-                ("cache_hit", J.Bool result.Session.cache_hit);
-                ("check_len", J.Int r.Synth.Optimize.check_len);
-                ("codes", J.List [ code_json r.Synth.Optimize.code ]);
-              ]
-              @ stats_json totals);
-          `Ok ()
-      | Session.Unsat { reason; stats } ->
-          Output.result fmt
-            ~text:(fun () -> Printf.printf "unsatisfiable: %s\n" reason)
-            ~json:(fun () ->
-              [ ("command", J.Str "optimize"); ("outcome", J.Str "unsat") ]
-              @ match stats with Some s -> stats_json s | None -> []);
-          exit result.Session.exit_code
-      | Session.Timeout { reason = _; stats } ->
-          Output.result fmt
-            ~text:(fun () ->
-              Printf.printf "%s with no candidate to report\n"
-                (if intr then "interrupted" else "timeout"))
-            ~json:(fun () ->
-              [
-                ("command", J.Str "optimize");
-                ( "outcome",
-                  J.Str (if intr then "interrupted" else "timeout") );
-              ]
-              @ match stats with Some s -> stats_json s | None -> []);
-          exit result.Session.exit_code
-      | Session.Partial { code; achieved; check_len; stats } ->
-          Output.result fmt
-            ~text:(fun () ->
-              Printf.printf "partial: %s at check length %d\n"
-                (if intr then "interrupted" else "budget expired")
-                (Option.value check_len ~default:0);
-              Printf.printf
-                "best candidate so far: (%d,%d) generator, achieved md %d:\n%s\n"
-                (Hamming.Code.block_len code) (Hamming.Code.data_len code)
-                achieved (Hamming.Code.to_string code))
-            ~json:(fun () ->
-              [
-                ("command", J.Str "optimize");
-                ("outcome", J.Str "partial");
-                ("interrupted", J.Bool intr);
-                ("check_len", J.Int (Option.value check_len ~default:0));
-                ("achieved_md", J.Int achieved);
-                ("codes", J.List [ code_json code ]);
-              ]
-              @ stats_json stats);
-          exit result.Session.exit_code
-      | Session.Codes _ | Session.Setbits _ | Session.Weighted _ ->
-          (* an optimize job never yields a synth outcome *)
-          assert false
-    end
   in
   let doc =
     "Minimize the check length for a target minimum distance (the Table 1 \
@@ -981,7 +792,7 @@ let verify_cmd =
         [ ("method", match method_ with `Sat -> "sat" | `Enum -> "enum") ]
       ();
     let code = load_code code_spec in
-    let prop = load_prop prop_spec in
+    let prop = Session.load_prop prop_spec in
     (* md claims go through the dedicated checker so the SAT path is used *)
     let env = Spec.Eval.env_of_code code in
     let start = Unix.gettimeofday () in
@@ -1193,7 +1004,8 @@ let smt_cmd =
     Output.ledger_start ~no_ledger ~subcommand:"smt" ~problem:file ~config:[]
       ();
     let script =
-      if file = "-" then In_channel.input_all stdin else read_file file
+      if file = "-" then In_channel.input_all stdin
+      else In_channel.with_open_bin file In_channel.input_all
     in
     match Output.with_trace trace (fun () -> Smtlite.Smtlib.run_to_string script) with
     | out ->
@@ -1373,7 +1185,7 @@ let robustness_cmd =
 module An = Telemetry.Analyze
 
 let load_parsed file =
-  match An.of_string (read_file file) with
+  match An.of_string (In_channel.with_open_bin file In_channel.input_all) with
   | Ok p -> Ok p
   | Error msg -> Error ("invalid trace: " ^ msg)
 
@@ -1742,7 +1554,8 @@ let trace_diff_cmd =
   in
   let run a b threshold ignored fmt =
     match
-      (An.metrics_of_string (read_file a), An.metrics_of_string (read_file b))
+      ( An.metrics_of_string (In_channel.with_open_bin a In_channel.input_all),
+        An.metrics_of_string (In_channel.with_open_bin b In_channel.input_all) )
     with
     | Error msg, _ -> `Error (false, Printf.sprintf "%s: %s" a msg)
     | _, Error msg -> `Error (false, Printf.sprintf "%s: %s" b msg)

@@ -122,12 +122,6 @@ let store ~dir ~digest e =
   with Sys_error msg | Failure msg ->
     Printf.eprintf "fecsynth: warning: cannot write cache entry: %s\n%!" msg
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Structural + CRC validation; any deviation is a miss, never an error. *)
 let parse content =
   match String.split_on_char '\n' content with
@@ -158,7 +152,7 @@ let lookup ~dir ~digest ~key =
   let found =
     if not (Sys.file_exists path) then None
     else
-      match parse (read_file path) with
+      match parse (In_channel.with_open_bin path In_channel.input_all) with
       | exception Sys_error _ -> None
       | Some e
         when e.key = key
@@ -242,7 +236,9 @@ let verify ~dir =
         (fun name ->
           if orphan_tmp name then tmp := name :: !tmp
           else if Filename.check_suffix name ".entry" then
-            match parse (read_file (Filename.concat dir name)) with
+            match parse
+                (In_channel.with_open_bin (Filename.concat dir name)
+                   In_channel.input_all) with
             | exception Sys_error _ -> bad := name :: !bad
             | Some _ -> incr ok
             | None -> bad := name :: !bad)

@@ -1,10 +1,11 @@
 (* The session layer: everything one synthesis run needs, behind a typed
    request/response API.  The CLI and the serve daemon are both thin
    clients of [run_sync]; the behavioral contract (ledger outcome
-   strings, exit codes, checkpoint discipline, resume validation
-   messages) lives here and nowhere else. *)
+   strings, exit codes, the JSON answer object, checkpoint discipline,
+   resume validation messages) lives here and nowhere else. *)
 
 module Report = Synth.Report
+module J = Telemetry.Json
 
 type job =
   | Synth of {
@@ -68,17 +69,93 @@ type result = {
 
 exception Invalid_request of string
 
-(* ---------- exit-code contract ---------- *)
+(* ---------- exit codes, verdict and the answer object ---------- *)
+
+let exit_unsat = 3
+let exit_timeout = 4
+let exit_partial = 5
+let exit_interrupted = 130
 
 (* An outcome, and whether the run was interrupted, decide the ledger
    outcome string and the exit code. *)
 let verdict outcome ~interrupted =
   match outcome with
   | Codes _ | Optimized _ | Setbits _ | Weighted _ -> ("synthesized", 0)
-  | Unsat _ -> ("unsat", 3)
-  | (Partial _ | Timeout _) when interrupted -> ("interrupted", 130)
-  | Partial _ -> ("partial", 5)
-  | Timeout _ -> ("timeout", 4)
+  | Unsat _ -> ("unsat", exit_unsat)
+  | (Partial _ | Timeout _) when interrupted -> ("interrupted", exit_interrupted)
+  | Partial _ -> ("partial", exit_partial)
+  | Timeout _ -> ("timeout", exit_timeout)
+
+(* The stats an outcome carries, into the ledger record and the answer
+   object; a set-bits walk's are summed over its steps. *)
+let outcome_stats = function
+  | Codes (_, s) | Optimized (_, s) | Partial { stats = s; _ } -> Some s
+  | Unsat { stats; _ } | Timeout { stats; _ } -> stats
+  | Setbits steps ->
+      Some (Report.Stats.sum (List.map (fun s -> s.Synth.Optimize.step_stats) steps))
+  | Weighted _ -> None
+
+(* A code is its shape and its matrix: no reply pays for a distance or a
+   descriptor. *)
+let code_json code =
+  J.Obj
+    [
+      ("block_len", J.Int (Hamming.Code.block_len code));
+      ("data_len", J.Int (Hamming.Code.data_len code));
+      ("matrix", J.Str (Hamming.Code.to_string code));
+    ]
+
+let codes_json codes = ("codes", J.List (List.map code_json codes))
+let stats_json s = ("stats", Report.Stats.to_json s)
+
+let result_fields r =
+  let name, fields =
+    match r.outcome with
+    | Codes (codes, _) -> ("synthesized", [ codes_json codes ])
+    | Optimized ({ Synth.Optimize.code; check_len; _ }, _) ->
+        ("synthesized", [ ("check_len", J.Int check_len); codes_json [ code ] ])
+    | Setbits steps ->
+        ( "setbits_walk",
+          [
+            ( "steps",
+              J.List
+                (List.map
+                   (fun (s : Synth.Optimize.setbits_step) ->
+                     J.Obj
+                       [
+                         ("bound", J.Int s.bound);
+                         ("achieved", J.Int s.achieved);
+                         ("code", code_json s.generator);
+                         stats_json s.step_stats;
+                       ])
+                   steps) );
+          ] )
+    | Weighted { mapping; sum_w; counts = t0, t1; codes = c0, c1; iterations; elapsed; optimal } ->
+        ( "weighted",
+          [
+            ("mapping", J.Str (String.concat "" (Array.to_list (Array.map string_of_int mapping))));
+            ("sum_w", J.Float sum_w);
+            ("optimal", J.Bool optimal);
+            ("split", J.List [ J.Int t0; J.Int t1 ]);
+            ("iterations", J.Int iterations);
+            ("elapsed_s", J.Float elapsed);
+            codes_json [ c0; c1 ];
+          ] )
+    | Partial { code; achieved; check_len; _ } ->
+        ( "partial",
+          [ ("achieved_md", J.Int achieved); codes_json [ code ] ]
+          @ match check_len with Some c -> [ ("check_len", J.Int c) ] | None -> [] )
+    | Unsat { reason; _ } -> ("unsat", [ ("reason", J.Str reason) ])
+    | Timeout { reason; _ } -> ("timeout", [ ("reason", J.Str reason) ])
+  in
+  (("outcome", J.Str name) :: fields)
+  @ Option.to_list (Option.map stats_json (outcome_stats r.outcome))
+  @ [
+      ("cache_hit", J.Bool r.cache_hit);
+      ("interrupted", J.Bool r.interrupted);
+      ("exit_code", J.Int r.exit_code);
+      ("wall_s", J.Float r.wall_s);
+    ]
 
 (* ---------- interrupts ---------- *)
 
@@ -92,23 +169,19 @@ let install_sigint () =
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle
        (fun _ ->
-         if Atomic.get sigint_requested then exit 130
+         if Atomic.get sigint_requested then exit exit_interrupted
          else Atomic.set sigint_requested true))
 
 let interrupted () = Atomic.get sigint_requested
 
 (* ---------- helpers ---------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let load_prop spec =
   if String.length spec > 0 && spec.[0] = '@' then
-    Spec.Parse.prop_file (read_file (String.sub spec 1 (String.length spec - 1)))
+    Spec.Parse.prop_file
+      (In_channel.with_open_bin
+         (String.sub spec 1 (String.length spec - 1))
+         In_channel.input_all)
   else Spec.Parse.prop spec
 
 let invalid token msg =
@@ -274,14 +347,6 @@ let cache_metric request ctx hit metrics =
   | Some _ -> metrics @ [ ("cache_hit", if hit then 1.0 else 0.0) ]
 
 (* ---------- the one pipeline ---------- *)
-
-(* The stats an outcome carries into the ledger record. *)
-let outcome_stats = function
-  | Codes (_, s) | Optimized (_, s) | Partial { stats = s; _ } -> Some s
-  | Unsat { stats; _ } | Timeout { stats; _ } -> stats
-  | Setbits steps ->
-      Some (Report.Stats.sum (List.map (fun s -> s.Synth.Optimize.step_stats) steps))
-  | Weighted _ -> None
 
 (* The ledger metrics of a solved (not cached) outcome. *)
 let outcome_metrics outcome =

@@ -7,8 +7,9 @@
     multiplexes many concurrent requests over worker domains with a
     bounded admission queue (the [fecsynth serve] engine).  The CLI
     [synth]/[optimize] subcommands are thin clients of {!run_sync}:
-    argument parsing and rendering stay in the binary, everything
-    behavioral lives here.
+    argument parsing and the text rendering stay in the binary;
+    everything behavioral, and the JSON answer object that the CLI and
+    the daemon both print ({!result_fields}), lives here.
 
     Both jobs run through one staged pipeline: record start, analyze
     (an [Optimize] job is a [minimal(len_c)] task without pins or a
@@ -83,8 +84,42 @@ type result = {
   resumed : resumed option;
   report : Synth.Portfolio.report option;  (** last portfolio report *)
   wall_s : float;
-  exit_code : int;  (** the CLI exit-code contract: 0/3/4/5/130 *)
+  exit_code : int;  (** from {!verdict} *)
 }
+
+(** {1 The answer} *)
+
+(** The exit codes a run ends with besides 0: the CLI contract, and the
+    [exit_code] of every {!result}. *)
+val exit_unsat : int
+
+val exit_timeout : int
+val exit_partial : int
+val exit_interrupted : int
+
+(** [verdict outcome ~interrupted] is the one outcome rule: the ledger
+    outcome string and the exit code.  Verified answers are
+    [synthesized]/0; [Unsat] is [unsat]/{!exit_unsat}; an interrupted
+    [Partial] or [Timeout] is [interrupted]/{!exit_interrupted}, an
+    uninterrupted one [partial]/{!exit_partial} or
+    [timeout]/{!exit_timeout}. *)
+val verdict : outcome -> interrupted:bool -> string * int
+
+(** The answer object's fields, in order: the one JSON rendering of a
+    result, shared by the CLI's [--stats json] (which adds [command] and
+    [portfolio]) and the daemon's replies.  ["outcome"] names the
+    constructor ([synthesized] for [Codes] and [Optimized],
+    [setbits_walk], [weighted], [partial], [unsat], [timeout]; an
+    interrupt shows in ["interrupted"] and ["exit_code"], not in the
+    name), then the constructor's own fields, then ["stats"] when the
+    outcome carries stats, then ["cache_hit"], ["interrupted"],
+    ["exit_code"] and ["wall_s"].  A code is
+    [{block_len, data_len, matrix}]. *)
+val result_fields : result -> (string * Telemetry.Json.t) list
+
+(** [load_prop spec] parses a property given inline or as [@FILE].
+    @raise Sys_error when the file cannot be read. *)
+val load_prop : string -> Spec.Ast.prop
 
 (** The request is structurally invalid (checkpointing a multi-generator
     task, a spec outside the supported fragment, …).  The run's ledger
@@ -94,7 +129,7 @@ exception Invalid_request of string
 (** {1 Interrupts} *)
 
 (** Install the CLI SIGINT protocol: first Ctrl-C requests a cooperative
-    wind-down, the second aborts at once (exit 130).  Servers do {e not}
+    wind-down, the second aborts at once ({!exit_interrupted}).  Servers do {e not}
     install this — they get their own drain handling. *)
 val install_sigint : unit -> unit
 
@@ -108,8 +143,7 @@ val interrupted : unit -> bool
     checkpoint writer, cache lookup/population and telemetry routing.
     [cancel] is a per-request cooperative stop composed with the global
     SIGINT flag.  The exit code and the ledger outcome follow from the
-    outcome and whether the run was interrupted: 0 [synthesized], 3
-    [unsat], 4 [timeout], 5 [partial], 130 [interrupted].  Parse and
+    outcome and whether the run was interrupted ({!verdict}).  Parse and
     I/O failures finish the ledger record as [error]/2 and re-raise for
     the caller's error rendering. *)
 val run_sync :

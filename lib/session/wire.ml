@@ -26,83 +26,6 @@ let error ?kind msg =
           @ [ ("error", J.Str msg) ])))
   ^ "\n"
 
-let code_json code =
-  J.Obj
-    [
-      ("block_len", J.Int (Hamming.Code.block_len code));
-      ("data_len", J.Int (Hamming.Code.data_len code));
-      ("matrix", J.Str (Hamming.Code.to_string code));
-    ]
-
-let stats_field stats = [ ("stats", Synth.Report.Stats.to_json stats) ]
-
-let outcome_fields = function
-  | Session.Codes (codes, stats) ->
-      [
-        ("outcome", J.Str "synthesized");
-        ("codes", J.List (List.map code_json codes));
-      ]
-      @ stats_field stats
-  | Session.Optimized (r, stats) ->
-      [
-        ("outcome", J.Str "synthesized");
-        ("check_len", J.Int r.Synth.Optimize.check_len);
-        ("codes", J.List [ code_json r.Synth.Optimize.code ]);
-      ]
-      @ stats_field stats
-  | Session.Setbits steps ->
-      [
-        ("outcome", J.Str "setbits_walk");
-        ( "steps",
-          J.List
-            (List.map
-               (fun s ->
-                 J.Obj
-                   [
-                     ("bound", J.Int s.Synth.Optimize.bound);
-                     ("achieved", J.Int s.Synth.Optimize.achieved);
-                     ("code", code_json s.Synth.Optimize.generator);
-                   ])
-               steps) );
-      ]
-  | Session.Weighted r ->
-      [
-        ("outcome", J.Str "weighted");
-        ( "mapping",
-          J.Str
-            (String.concat ""
-               (Array.to_list
-                  (Array.map string_of_int r.Synth.Weighted.mapping))) );
-        ("sum_w", J.Float r.Synth.Weighted.sum_w);
-        ("optimal", J.Bool r.Synth.Weighted.optimal);
-      ]
-  | Session.Partial { code; achieved; check_len; stats } ->
-      [
-        ("outcome", J.Str "partial");
-        ("achieved_md", J.Int achieved);
-        ("codes", J.List [ code_json code ]);
-      ]
-      @ (match check_len with
-        | Some c -> [ ("check_len", J.Int c) ]
-        | None -> [])
-      @ stats_field stats
-  | Session.Unsat { reason; stats } ->
-      [ ("outcome", J.Str "unsat"); ("reason", J.Str reason) ]
-      @ (match stats with Some s -> stats_field s | None -> [])
-  | Session.Timeout { reason; stats } ->
-      [ ("outcome", J.Str "timeout"); ("reason", J.Str reason) ]
-      @ (match stats with Some s -> stats_field s | None -> [])
-
-let result_to_json (r : Session.result) =
-  J.Obj
-    (outcome_fields r.Session.outcome
-    @ [
-        ("cache_hit", J.Bool r.Session.cache_hit);
-        ("interrupted", J.Bool r.Session.interrupted);
-        ("exit_code", J.Int r.Session.exit_code);
-        ("wall_s", J.Float r.Session.wall_s);
-      ])
-
 let status_to_json = function
   | Session.Manager.Queued -> J.Obj [ ("state", J.Str "queued") ]
   | Session.Manager.Running -> J.Obj [ ("state", J.Str "running") ]
@@ -110,7 +33,7 @@ let status_to_json = function
   | Session.Manager.Failed msg ->
       J.Obj [ ("state", J.Str "failed"); ("error", J.Str msg) ]
   | Session.Manager.Done r ->
-      J.Obj [ ("state", J.Str "done"); ("result", result_to_json r) ]
+      J.Obj [ ("state", J.Str "done"); ("result", J.Obj (Session.result_fields r)) ]
   | Session.Manager.Timed_out -> J.Obj [ ("state", J.Str "timeout") ]
 
 (* ---------- requests ---------- *)

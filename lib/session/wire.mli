@@ -22,6 +22,21 @@
       [/metrics] endpoint serves); [fecsynth top] polls this
     - [{"op":"shutdown"}] — drain and exit
 
+    The answer object (under ["session"]["result"], see {!status_to_json}):
+    - [{"outcome":"synthesized","codes":[C],"stats":S,...}] for a
+      synth answer; an optimize answer adds ["check_len"] before
+      ["codes"]
+    - [{"outcome":"setbits_walk","steps":[{"bound","achieved","code":C,"stats":S}],"stats":S,...}]
+    - [{"outcome":"weighted","mapping","sum_w","optimal","split","iterations","elapsed_s","codes":[C0,C1],...}]
+    - [{"outcome":"partial","achieved_md","codes":[C],"check_len"?,"stats":S,...}]
+    - [{"outcome":"unsat"|"timeout","reason","stats"?,...}]
+
+    where [C] is [{"block_len","data_len","matrix"}] and [S] the
+    {!Synth.Report.Stats} object; every answer ends with ["cache_hit"],
+    ["interrupted"], ["exit_code"] and ["wall_s"].  An interrupted run
+    keeps its outcome name and shows the interrupt as
+    ["interrupted":true] and exit code {!Session.exit_interrupted}.
+
     Error responses may carry a machine-readable ["kind"] alongside the
     human ["error"] text: [bad_frame] (unparseable JSON; the server
     closes the connection), [oversized] (frame longer than the server
@@ -53,10 +68,12 @@ val command_of_json :
   Telemetry.Json.t ->
   (command, string) Stdlib.result
 
-(** The result object shared by [submit --await], [status] and [await]
-    responses. *)
-val result_to_json : Session.result -> Telemetry.Json.t
-
+(** A session's state: [{"state":"queued"|"running"|"cancelled"|"timeout"}],
+    [{"state":"failed","error":MSG}], or [{"state":"done","result":R}]
+    where [R] is the answer object of {!Session.result_fields} — the
+    same object [synth]/[optimize --stats json] print, less their
+    [command] and [portfolio] keys.  [submit --await], [status] and
+    [await] replies carry it under ["session"]. *)
 val status_to_json : Session.Manager.status -> Telemetry.Json.t
 
 (** One response line (with trailing newline): [ok fields] has

@@ -372,6 +372,85 @@ let test_outcome_table () =
   Alcotest.(check bool) "cache hit flagged" true r.Session.cache_hit;
   Alcotest.(check bool) "cache hit recorded" true e.Telemetry.Ledger.cache_hit
 
+(* ---------- one answer object ---------- *)
+
+module J = Telemetry.Json
+
+(* Every constructor, interrupted and not, through the one outcome rule
+   and the one JSON rendering: the answer's outcome name, its exit code
+   and the ledger outcome; a weighted answer carries both generators and
+   a set-bits walk its stats, on the wire as in the CLI. *)
+let test_answer_table () =
+  let code = Hamming.Code.of_string hamming74 in
+  let stats = { Synth.Report.Stats.zero with iterations = 7 } in
+  let step = { Synth.Optimize.bound = 12; achieved = 9; generator = code; step_stats = stats } in
+  let weighted =
+    {
+      Synth.Weighted.mapping = [| 0; 1 |];
+      sum_w = 1.5;
+      counts = (1, 1);
+      codes = (code, code);
+      iterations = 3;
+      elapsed = 0.1;
+      optimal = true;
+    }
+  in
+  let partial check_len = Session.Partial { code; achieved = 2; check_len; stats } in
+  let has k j = J.member k j <> None in
+  List.iter
+    (fun (label, outcome, json_name, (quiet_name, quiet_code), (intr_name, intr_code), check) ->
+      List.iter
+        (fun (interrupted, want_name, want_code) ->
+          let label = Printf.sprintf "%s%s" label (if interrupted then " interrupted" else "") in
+          let ledger_name, exit_code = Session.verdict outcome ~interrupted in
+          Alcotest.(check (pair string int)) (label ^ ": verdict") (want_name, want_code) (ledger_name, exit_code);
+          let j =
+            J.Obj
+              (Session.result_fields
+                 { Session.outcome; cache_hit = false; interrupted; resumed = None; report = None; wall_s = 0.0; exit_code })
+          in
+          Alcotest.(check (option string)) (label ^ ": outcome") (Some json_name)
+            (Option.bind (J.member "outcome" j) J.to_string_opt);
+          Alcotest.(check (option int)) (label ^ ": exit_code") (Some want_code) (Option.bind (J.member "exit_code" j) J.to_int);
+          Alcotest.(check bool) (label ^ ": interrupted") true (J.member "interrupted" j = Some (J.Bool interrupted));
+          check label j)
+        [ (false, quiet_name, quiet_code); (true, intr_name, intr_code) ])
+    [
+      ("codes", Session.Codes ([ code ], stats), "synthesized", ("synthesized", 0), ("synthesized", 0),
+        fun l j -> Alcotest.(check bool) (l ^ ": stats") true (has "stats" j));
+      ( "optimized",
+        Session.Optimized ({ Synth.Optimize.code; check_len = 3; stats }, stats),
+        "synthesized", ("synthesized", 0), ("synthesized", 0),
+        fun l j -> Alcotest.(check (option int)) (l ^ ": check_len") (Some 3) (Option.bind (J.member "check_len" j) J.to_int) );
+      ( "setbits", Session.Setbits [ step; step ], "setbits_walk", ("synthesized", 0), ("synthesized", 0),
+        fun l j ->
+          Alcotest.(check bool) (l ^ ": walk stats") true (has "stats" j);
+          match J.member "steps" j with
+          | Some (J.List steps) ->
+              Alcotest.(check int) (l ^ ": steps") 2 (List.length steps);
+              List.iter (fun s -> Alcotest.(check bool) (l ^ ": step stats and code") true (has "stats" s && has "code" s)) steps
+          | _ -> Alcotest.fail (l ^ ": no steps") );
+      ( "weighted", Session.Weighted weighted, "weighted", ("synthesized", 0), ("synthesized", 0),
+        fun l j ->
+          (match J.member "codes" j with
+          | Some (J.List cs) -> Alcotest.(check int) (l ^ ": both generators") 2 (List.length cs)
+          | _ -> Alcotest.fail (l ^ ": no codes"));
+          Alcotest.(check bool) (l ^ ": split, iterations, elapsed") true
+            (has "split" j && has "iterations" j && has "elapsed_s" j) );
+      ( "partial at a length", partial (Some 4), "partial", ("partial", 5), ("interrupted", 130),
+        fun l j -> Alcotest.(check (option int)) (l ^ ": check_len") (Some 4) (Option.bind (J.member "check_len" j) J.to_int) );
+      ( "partial", partial None, "partial", ("partial", 5), ("interrupted", 130),
+        fun l j -> Alcotest.(check bool) (l ^ ": no check_len") false (has "check_len" j) );
+      ( "unsat with stats", Session.Unsat { reason = "r"; stats = Some stats }, "unsat", ("unsat", 3), ("unsat", 3),
+        fun l j -> Alcotest.(check bool) (l ^ ": reason and stats") true (has "reason" j && has "stats" j) );
+      ( "unsat", Session.Unsat { reason = "r"; stats = None }, "unsat", ("unsat", 3), ("unsat", 3),
+        fun l j -> Alcotest.(check bool) (l ^ ": no stats") false (has "stats" j) );
+      ( "timeout with stats", Session.Timeout { reason = "r"; stats = Some stats }, "timeout", ("timeout", 4), ("interrupted", 130),
+        fun l j -> Alcotest.(check bool) (l ^ ": reason and stats") true (has "reason" j && has "stats" j) );
+      ( "timeout", Session.Timeout { reason = "r"; stats = None }, "timeout", ("timeout", 4), ("interrupted", 130),
+        fun l j -> Alcotest.(check bool) (l ^ ": no stats") false (has "stats" j) );
+    ]
+
 let iterations_of r =
   match r.Session.outcome with
   | Session.Codes (_, st) | Session.Optimized (_, st) -> st.Synth.Report.Stats.iterations
@@ -479,5 +558,7 @@ let () =
             test_walk_totals;
           Alcotest.test_case "a cache hit writes no crash journal" `Quick
             test_hit_writes_no_journal;
+          Alcotest.test_case "one answer object per outcome" `Quick
+            test_answer_table;
         ] );
     ]
