@@ -336,6 +336,25 @@ let step ?deadline s =
       ~fields:[ ("iter", Telemetry.int s.iterations) ]
       (fun () -> step_body ?deadline s)
 
+(* The one driver of [step]: the sequential loop and every portfolio worker
+   take their turns here.  The budget is polled before each step as well as
+   inside the solvers, because small instances can run whole iterations
+   without reaching a solver poll point, and a zero budget is spent before
+   the first step even within one clock tick.  [Interrupted] while the
+   interrupt does not fire is spurious (fault injection, a stale solver
+   hook): the solver state is intact, so the turn re-polls and steps
+   again. *)
+let rec turn ~deadline s =
+  if
+    Unix.gettimeofday () >= deadline
+    || (match s.interrupt with Some f -> f () | None -> false)
+  then None
+  else
+    match step ~deadline s with
+    | r -> Some r
+    | exception Ctx.Timeout -> None
+    | exception Ctx.Interrupted -> turn ~deadline s
+
 let synthesize ?(timeout = 120.0) ?(cex_mode = Data_word)
     ?(verifier = Combinatorial) ?(encoding = Card.Sequential) ?seed ?interrupt
     ?initial ?on_progress problem =
@@ -344,33 +363,18 @@ let synthesize ?(timeout = 120.0) ?(cex_mode = Data_word)
       problem
   in
   let deadline = s.start +. timeout in
-  (* the anytime outcome when a budget or interrupt cuts the run short *)
-  let out_of_budget () =
-    match s.best with
-    | Some (code, _) -> Report.Partial (code, session_stats s)
-    | None -> Report.Timed_out (session_stats s)
-  in
-  (* [Interrupted] with no genuinely-firing interrupt installed is spurious
-     (fault injection, or a stale solver hook): the solver state is intact,
-     so retry the step rather than abort the run *)
-  let genuine_interrupt () =
-    match s.interrupt with Some f -> f () | None -> false
-  in
   let rec loop () =
-    (* poll the budget here too: small instances can run whole iterations
-       without the solvers ever reaching an interrupt poll point; a zero
-       budget is spent before the first step, even within one clock tick *)
-    if Unix.gettimeofday () >= deadline || genuine_interrupt () then
-      out_of_budget ()
-    else
-      match step ~deadline s with
-      | Exhausted -> Report.Unsat_config (session_stats s)
-      | Done code -> Report.Synthesized (code, session_stats s)
-      | Progress cex ->
-          (match on_progress with Some f -> f s cex | None -> ());
-          loop ()
-      | exception Ctx.Timeout -> out_of_budget ()
-      | exception Ctx.Interrupted ->
-          if genuine_interrupt () then out_of_budget () else loop ()
+    match turn ~deadline s with
+    | Some Exhausted -> Report.Unsat_config (session_stats s)
+    | Some (Done code) -> Report.Synthesized (code, session_stats s)
+    | Some (Progress cex) ->
+        (match on_progress with Some f -> f s cex | None -> ());
+        loop ()
+    | None -> (
+        (* the anytime outcome when the budget or the interrupt cut the
+           run short *)
+        match s.best with
+        | Some (code, _) -> Report.Partial (code, session_stats s)
+        | None -> Report.Timed_out (session_stats s))
   in
   loop ()

@@ -76,9 +76,10 @@ val griesmer_check_len : data_len:int -> min_distance:int -> int
 val symmetry_of_problem : problem -> symmetry
 
 (** A resumable CEGIS run: the synthesizer context plus counters.  One
-    {!step} call performs exactly one iteration of Algorithm 1, so callers
-    (the sequential driver, the parallel portfolio) own the loop and can
-    interleave it with counterexample exchange or cancellation checks. *)
+    {!step} call performs exactly one iteration of Algorithm 1, and
+    {!turn} wraps it in the budget and interrupt polls, so callers (the
+    sequential driver, the portfolio's workers) own the loop and can
+    interleave it with counterexample exchange. *)
 type session
 
 (** [create_session ?cex_mode ?verifier ?encoding ?seed ?interrupt ?vars
@@ -122,6 +123,16 @@ type step_result =
     @raise Smtlite.Ctx.Interrupted when the session's interrupt fires. *)
 val step : ?deadline:float -> session -> step_result
 
+(** [turn ~deadline session] is one turn of the CEGIS loop, the only way
+    a loop drives {!step} ({!synthesize} and every {!Portfolio} worker take
+    their turns here).  It answers [None] once the budget is spent
+    (the clock is at or past [deadline], before or during the step) or the
+    session's interrupt fires, and [Some r] for a completed step.  A
+    spurious {!Smtlite.Ctx.Interrupted} — one raised while the interrupt
+    does not return [true]: fault injection, stale hooks — re-polls and
+    retries the step. *)
+val turn : deadline:float -> session -> step_result option
+
 (** [learn session cex] asserts a counterexample produced elsewhere
     (another portfolio worker) into this session, re-encoding it with the
     session's own cardinality encoding. *)
@@ -146,13 +157,11 @@ val session_best : session -> (Hamming.Code.t * int) option
     default 120 as in the paper) bounds the whole call; when it (or a
     genuine [interrupt]) fires and at least one candidate has been refuted,
     the best one is returned as [Partial] rather than discarded.  A
-    spurious {!Smtlite.Ctx.Interrupted} (one raised while [interrupt] does
-    not actually return [true] — fault injection, stale hooks) retries the
-    interrupted step instead of aborting the run.  [initial]
+    spurious {!Smtlite.Ctx.Interrupted} retries the step (see {!turn}).
+    [initial]
     counterexamples (from a checkpoint) are replayed before the first
     candidate; [on_progress] observes every newly learned counterexample
-    (checkpoint writers hook in here).  Equivalent to driving {!step}
-    until completion. *)
+    (checkpoint writers hook in here).  A loop over {!turn}. *)
 val synthesize :
   ?timeout:float ->
   ?cex_mode:cex_mode ->

@@ -18,16 +18,12 @@ let synthesize ?timeout ~data_len ~check_len ~distinguish () =
     Cegis.synthesize ?timeout
       { Cegis.data_len; check_len; min_distance = md; extra = [] }
   with
-  | Report.Synthesized (code, stats) ->
-      (* cross-check the actual multi-bit property, not just the distance *)
+  | Report.Synthesized (code, _) as r ->
+      (* cross-check the actual multi-bit property, not just the distance;
+         a [Partial] candidate is unproven and passes through unchecked *)
       assert (Hamming.Multibit.distinguishes_up_to code distinguish);
-      Report.Synthesized (code, stats)
-  | Report.Unsat_config stats -> Report.Unsat_config stats
-  | Report.Timed_out stats -> Report.Timed_out stats
-  | Report.Partial (code, stats) ->
-      (* anytime candidate: the multi-bit property is not verified for it,
-         so no cross-check here — callers must treat it as unproven *)
-      Report.Partial (code, stats)
+      r
+  | r -> r
 
 let minimize_check_len ?timeout ~data_len ~distinguish ~check_lo ~check_hi () =
   let md = target_md distinguish in

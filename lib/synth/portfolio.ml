@@ -25,17 +25,6 @@ type report = {
   totals : Report.Stats.t;
 }
 
-(* Spawned worker domains re-install the ambient span context (the serve
-   request id); the runtime lens needs the same id as a ring beacon so
-   GC intervals on the new domain's ring are attributed to the request.
-   No-op when the lens is not live. *)
-let with_runtime_request ctx f =
-  match List.assoc_opt "request" ctx with
-  | Some (Telemetry.Sink.Str rid) when Telemetry.Runtime.active () ->
-      Telemetry.Runtime.set_request (Some rid);
-      Fun.protect ~finally:(fun () -> Telemetry.Runtime.set_request None) f
-  | _ -> f ()
-
 let config_to_string c =
   let seed = match c.seed with None -> "-" | Some s -> string_of_int s in
   Printf.sprintf "%s(cex=%s ver=%s enc=%s seed=%s)" c.label
@@ -166,342 +155,255 @@ type decision =
   | Winner of int * Hamming.Code.t
   | Proved_unsat of int
 
-type worker_outcome = {
-  w_stats : Report.Stats.t;
-  w_out : int;
-  w_in : int;
-  w_finished : bool;
+(* What every worker of a race shares; [deadline] is the current round's. *)
+type race = {
+  problem : Cegis.problem;
+  vars : Expr.t array array;
+  deadline : float;
+  stop : bool Atomic.t;
+  stop_at : float Atomic.t;  (** when [stop] was raised *)
+  decision : decision option Atomic.t;
+  pool : pool;
+  best : best;
+  origin_counter : int Atomic.t;
+  interrupt : unit -> bool;  (** the caller's, e.g. Ctrl-C *)
+  on_cex : Cegis.cex -> unit;
 }
 
-(* Incarnation [attempt] of a supervised worker diversifies its solver
-   seed so a crashed search does not replay the trajectory that crashed
-   (or stalled) it. *)
-let reseed_for_attempt config ~attempt =
-  if attempt = 0 then config
-  else
-    {
-      config with
-      seed =
-        Some
-          ((match config.seed with None -> 0 | Some s -> s)
-          + (104729 * attempt));
-    }
+(* One supervised worker, stepped by either scheduler.  [index] is its slot
+   within the round (who to credit in the decision).  Each incarnation
+   takes a fresh [origin] from the shared counter, unique across rounds and
+   restarts, so a restarted worker re-imports everything the pool holds,
+   including what its previous incarnation published.  [attempt] counts
+   the incarnations started after a crash, so it is also the restart
+   count. *)
+type worker = {
+  race : race;
+  index : int;
+  config : config;
+  mutable session : Cegis.session option;  (** [None] until (re)started *)
+  mutable origin : int;
+  mutable cursor : int;
+  mutable published : int;
+  mutable consumed : int;
+  mutable crashes : int;
+  mutable attempt : int;
+  mutable finished : bool;  (** this worker decided the race *)
+  mutable acc : Report.Stats.t;  (** stats of retired incarnations *)
+}
 
-let supervisor_policy config =
+(* What a scheduler does with a worker after a [step]. *)
+type next = Continue | Back_off of float | Stop
+
+let worker race index config =
   {
-    Supervisor.default_policy with
-    Supervisor.seed = (match config.seed with None -> 0 | Some s -> s);
+    race;
+    index;
+    config;
+    session = None;
+    origin = -1;
+    cursor = 0;
+    published = 0;
+    consumed = 0;
+    crashes = 0;
+    attempt = 0;
+    finished = false;
+    acc = Report.Stats.zero;
   }
 
-(* [index] is the worker's slot within its round (who to credit in the
-   decision); each incarnation takes a fresh [origin] from the shared
-   counter, unique across rounds and restarts, so a restarted worker
-   re-imports everything the pool holds — including what its previous
-   incarnation published.  [stop_at] records when the stop flag was
-   raised, so losing workers can report how long cooperative cancellation
-   took.  The body runs under {!Supervisor.run}: any exception that is not
-   cooperative cancellation (and not a genuine interrupt) is a crash,
-   answered by a backoff restart with a fresh seed. *)
-let run_worker ~problem ~vars ~deadline ~stop ~stop_at ~decision ~pool ~best
-    ~origin_counter ~ext_interrupt ~on_cex index config =
-  let interrupt () =
-    Atomic.get stop || ext_interrupt () || Unix.gettimeofday () > deadline
+(* Incarnation [attempt] of a worker diversifies its solver seed so a
+   crashed search does not replay the trajectory that crashed (or stalled)
+   it. *)
+let start w =
+  Fault.probe "worker.start";
+  let c = w.config and r = w.race in
+  let seed =
+    if w.attempt = 0 then c.seed
+    else Some (Option.value c.seed ~default:0 + (104729 * w.attempt))
   in
-  let shared_out = ref 0 and shared_in = ref 0 in
-  let finished = ref false in
-  let acc = ref Report.Stats.zero in
-  let sp =
-    Telemetry.begin_span "portfolio.worker"
-      ~fields:
-        [
-          ("worker", Telemetry.str config.label);
-          ("config", Telemetry.str (config_to_string config));
-        ]
-  in
-  let decide d =
-    if Atomic.compare_and_set decision None (Some d) then begin
-      finished := true;
-      Atomic.set stop_at (Unix.gettimeofday ());
-      Atomic.set stop true
-    end
-  in
-  let body ~attempt =
-    Fault.probe "worker.start";
-    let config = reseed_for_attempt config ~attempt in
-    let origin = Atomic.fetch_and_add origin_counter 1 in
-    let cursor = ref 0 in
-    let session =
-      Cegis.create_session ~cex_mode:config.cex_mode ~verifier:config.verifier
-        ~encoding:config.encoding ?seed:config.seed ~interrupt ~vars problem
-    in
-    (* fold this incarnation's learning into the worker totals exactly
-       once, on every exit path — cancellation, crash, or victory *)
-    let merge () =
-      best_offer best (Cegis.session_best session);
-      acc := Report.Stats.add !acc (Cegis.session_stats session)
-    in
-    let rec loop () =
-      if interrupt () then ()
-      else begin
-        (* absorb counterexamples other workers discovered since last step *)
-        let fresh, len = pool_drain pool ~cursor:!cursor ~self:origin in
-        cursor := len;
-        if fresh <> [] then
-          Telemetry.counter "portfolio.consume"
-            ~fields:[ ("worker", Telemetry.str config.label) ]
-            (List.length fresh);
-        List.iter
-          (fun cex ->
-            incr shared_in;
-            Cegis.learn session cex)
-          fresh;
-        match Cegis.step ~deadline session with
-        | Cegis.Done code -> decide (Winner (index, code))
-        | Cegis.Exhausted ->
-            (* sound globally: every imported constraint is implied by the
-               specification, so an unsat synthesizer context refutes the
-               whole configuration, not just this worker's search *)
-            decide (Proved_unsat index)
-        | Cegis.Progress cex ->
-            if pool_publish pool origin cex then begin
-              incr shared_out;
-              on_cex cex;
-              Telemetry.counter "portfolio.publish"
-                ~fields:[ ("worker", Telemetry.str config.label) ]
-                1
-            end;
-            loop ()
-        | exception Ctx.Interrupted when not (interrupt ()) ->
-            (* the solver reported an interrupt no one requested (an
-               injected fault): the session is intact, so retry the step *)
-            loop ()
-      end
-    in
-    match loop () with
-    | () -> merge ()
-    | exception (Ctx.Timeout | Ctx.Interrupted) -> merge ()
-    | exception e ->
-        merge ();
-        raise e
-  in
-  let sup =
-    Supervisor.run ~policy:(supervisor_policy config) ~label:config.label body
-  in
-  (match sup.Supervisor.result with
-  | Ok () -> ()
-  | Error _ ->
-      (* gave up after repeated crashes: this worker drops out of the
-         race; its learning is already merged and the crash totals are
-         reported below *)
-      ());
-  if Telemetry.enabled () && (not !finished) && Atomic.get stop then begin
-    let t0 = Atomic.get stop_at in
-    if t0 > 0.0 then
-      Telemetry.gauge "portfolio.cancel_latency"
-        ~fields:[ ("worker", Telemetry.str config.label) ]
-        (Unix.gettimeofday () -. t0)
+  w.origin <- Atomic.fetch_and_add r.origin_counter 1;
+  w.cursor <- 0;
+  w.session <-
+    Some
+      (Cegis.create_session ~cex_mode:c.cex_mode ~verifier:c.verifier
+         ~encoding:c.encoding ?seed ~vars:r.vars
+         ~interrupt:(fun () -> Atomic.get r.stop || r.interrupt ())
+         r.problem)
+
+(* fold the current incarnation's learning into the worker totals, once *)
+let merge w =
+  match w.session with
+  | None -> ()
+  | Some s ->
+      best_offer w.race.best (Cegis.session_best s);
+      w.acc <- Report.Stats.add w.acc (Cegis.session_stats s);
+      w.session <- None
+
+let decide w d =
+  let r = w.race in
+  if Atomic.compare_and_set r.decision None (Some d) then begin
+    w.finished <- true;
+    Atomic.set r.stop_at (Unix.gettimeofday ());
+    Atomic.set r.stop true
   end;
-  let w_stats =
+  Stop
+
+let label_field w = [ ("worker", Telemetry.str w.config.label) ]
+
+(* Drain the counterexamples other workers published since the last turn,
+   take one turn, and publish this turn's counterexample. *)
+let take_turn w s =
+  let r = w.race in
+  let fresh, len = pool_drain r.pool ~cursor:w.cursor ~self:w.origin in
+  w.cursor <- len;
+  if fresh <> [] then begin
+    w.consumed <- w.consumed + List.length fresh;
+    Telemetry.counter "portfolio.consume" ~fields:(label_field w)
+      (List.length fresh);
+    List.iter (Cegis.learn s) fresh
+  end;
+  match Cegis.turn ~deadline:r.deadline s with
+  | None -> Stop
+  | Some (Cegis.Done code) -> decide w (Winner (w.index, code))
+  | Some Cegis.Exhausted ->
+      (* sound globally: every imported constraint is implied by the
+         specification, so an unsat synthesizer context refutes the whole
+         configuration, not just this worker's search *)
+      decide w (Proved_unsat w.index)
+  | Some (Cegis.Progress cex) ->
+      if pool_publish r.pool w.origin cex then begin
+        w.published <- w.published + 1;
+        r.on_cex cex;
+        Telemetry.counter "portfolio.publish" ~fields:(label_field w) 1
+      end;
+      Continue
+
+let crash w e =
+  merge w;
+  w.crashes <- w.crashes + 1;
+  let policy =
     {
-      !acc with
-      Report.Stats.worker_crashes = sup.Supervisor.crashes;
-      worker_restarts = sup.Supervisor.restarts;
+      Supervisor.default_policy with
+      Supervisor.seed = Option.value w.config.seed ~default:0;
     }
   in
-  Telemetry.end_span sp
-    ~fields:
-      [
-        ("iterations", Telemetry.int w_stats.Report.Stats.iterations);
-        ("published", Telemetry.int !shared_out);
-        ("consumed", Telemetry.int !shared_in);
-        ("finished", Telemetry.bool !finished);
-        ("crashes", Telemetry.int sup.Supervisor.crashes);
-      ];
-  { w_stats; w_out = !shared_out; w_in = !shared_in; w_finished = !finished }
+  match
+    Supervisor.on_crash policy ~label:w.config.label ~attempt:w.attempt e
+  with
+  | None -> Stop
+  | Some delay ->
+      w.attempt <- w.attempt + 1;
+      Back_off delay
 
-(* One domain, K workers: step the sessions round-robin, one CEGIS
-   iteration per turn.  On a host without spare cores this has the same
+(* A worker with no session starts one; otherwise it takes a turn.  Any
+   exception is a crash — the turn has already absorbed cooperative
+   cancellation — answered by {!Supervisor.on_crash}: a restart with a
+   fresh seed on the next step, or giving up. *)
+let step w =
+  match w.session with
+  | None -> (
+      match start w with () -> Continue | exception e -> crash w e)
+  | Some s -> ( match take_turn w s with n -> n | exception e -> crash w e)
+
+let retire w =
+  merge w;
+  {
+    config = w.config;
+    stats =
+      {
+        w.acc with
+        Report.Stats.worker_crashes = w.crashes;
+        worker_restarts = w.attempt;
+      };
+    shared_out = w.published;
+    shared_in = w.consumed;
+    finished = w.finished;
+  }
+
+(* the fields both schedulers report for a retired worker *)
+let tally_fields ws =
+  [
+    ("iterations", Telemetry.int ws.stats.Report.Stats.iterations);
+    ("published", Telemetry.int ws.shared_out);
+    ("consumed", Telemetry.int ws.shared_in);
+    ("finished", Telemetry.bool ws.finished);
+    ("crashes", Telemetry.int ws.stats.Report.Stats.worker_crashes);
+  ]
+
+let id_fields w =
+  label_field w @ [ ("config", Telemetry.str (config_to_string w.config)) ]
+
+(* The domains scheduler (and [jobs = 1], inline): one worker stepped to
+   the end in its own domain inside a [portfolio.worker] span, sleeping the
+   backoff delay after a crash.  A loser reports how long cooperative
+   cancellation took. *)
+let run_alone w =
+  let sp = Telemetry.begin_span "portfolio.worker" ~fields:(id_fields w) in
+  let rec go () =
+    match step w with
+    | Continue -> go ()
+    | Back_off delay ->
+        if delay > 0.0 then Unix.sleepf delay;
+        go ()
+    | Stop -> ()
+  in
+  go ();
+  let r = w.race in
+  if Telemetry.enabled () && (not w.finished) && Atomic.get r.stop then begin
+    let t0 = Atomic.get r.stop_at in
+    if t0 > 0.0 then
+      Telemetry.gauge "portfolio.cancel_latency" ~fields:(label_field w)
+        (Unix.gettimeofday () -. t0)
+  end;
+  let ws = retire w in
+  Telemetry.end_span sp ~fields:(tally_fields ws);
+  ws
+
+(* The interleaved scheduler: K workers in the calling domain, one step
+   each per rotation.  On a host without spare cores this has the same
    semantics and sharing behaviour as spawned domains but none of the
    scheduler noise: pool-arrival order is fixed by the rotation, so the
-   whole race is deterministic for seeded configurations.  Crash
-   supervision follows the same policy as the domains path, minus the
-   backoff sleep — a sleeping rotation would stall every worker, and
-   skipping it keeps the interleave deterministic. *)
-type iworker = {
-  iw_index : int;
-  iw_config : config;
-  mutable iw_session : Cegis.session option;  (** [None] = start-up crashed *)
-  mutable iw_origin : int;
-  mutable iw_cursor : int;
-  mutable iw_out : int;
-  mutable iw_in : int;
-  mutable iw_dead : bool;
-  mutable iw_won : bool;
-  mutable iw_crashes : int;
-  mutable iw_restarts : int;
-  mutable iw_attempt : int;
-  mutable iw_acc : Report.Stats.t;  (** stats of finished incarnations *)
-}
-
-let run_interleaved ~problem ~vars ~deadline ~decision ~pool ~best
-    ~origin_counter ~ext_interrupt ~on_cex configs =
-  let cancelled () = ext_interrupt () || Unix.gettimeofday () > deadline in
-  let max_restarts = Supervisor.default_policy.Supervisor.max_restarts in
-  let new_session w =
-    Fault.probe "worker.start";
-    let config = reseed_for_attempt w.iw_config ~attempt:w.iw_attempt in
-    w.iw_origin <- Atomic.fetch_and_add origin_counter 1;
-    w.iw_cursor <- 0;
-    Cegis.create_session ~cex_mode:config.cex_mode ~verifier:config.verifier
-      ~encoding:config.encoding ?seed:config.seed ~interrupt:cancelled ~vars
-      problem
+   whole race is deterministic for seeded configurations.  It skips the
+   backoff sleep, which would stall every worker.  One domain cannot nest
+   overlapping spans, so each worker is reported as a point. *)
+let interleave workers =
+  let rec spin = function
+    | [] -> ()
+    | ws ->
+        spin
+          (List.filter
+             (fun w -> (not (Atomic.get w.race.stop)) && step w <> Stop)
+             ws)
   in
-  let record_crash w e =
-    w.iw_crashes <- w.iw_crashes + 1;
-    if Telemetry.enabled () then
-      Telemetry.point "supervisor.crash"
-        ~fields:
-          [
-            ("worker", Telemetry.str w.iw_config.label);
-            ("attempt", Telemetry.int w.iw_attempt);
-            ("exn", Telemetry.str (Printexc.to_string e));
-          ]
-  in
-  (* retire the current incarnation's learning into the accumulator *)
-  let merge w =
-    match w.iw_session with
-    | None -> ()
-    | Some s ->
-        best_offer best (Cegis.session_best s);
-        w.iw_acc <- Report.Stats.add w.iw_acc (Cegis.session_stats s);
-        w.iw_session <- None
-  in
-  (* (re)start a worker, counting start-up crashes against its budget *)
-  let rec start w =
-    if w.iw_crashes > max_restarts then w.iw_dead <- true
-    else
-      match new_session w with
-      | s -> w.iw_session <- Some s
-      | exception ((Ctx.Timeout | Ctx.Interrupted) as _e) -> w.iw_dead <- true
-      | exception e ->
-          record_crash w e;
-          w.iw_attempt <- w.iw_attempt + 1;
-          if w.iw_crashes <= max_restarts then begin
-            w.iw_restarts <- w.iw_restarts + 1;
-            start w
-          end
-          else w.iw_dead <- true
-  in
-  let workers =
-    List.mapi
-      (fun i config ->
-        let w =
-          {
-            iw_index = i;
-            iw_config = config;
-            iw_session = None;
-            iw_origin = -1;
-            iw_cursor = 0;
-            iw_out = 0;
-            iw_in = 0;
-            iw_dead = false;
-            iw_won = false;
-            iw_crashes = 0;
-            iw_restarts = 0;
-            iw_attempt = 0;
-            iw_acc = Report.Stats.zero;
-          }
-        in
-        start w;
-        w)
-      configs
-  in
-  let decided = ref false in
-  let step_worker w =
-    match w.iw_session with
-    | None -> w.iw_dead <- true
-    | Some session -> (
-        try
-          let fresh, len =
-            pool_drain pool ~cursor:w.iw_cursor ~self:w.iw_origin
-          in
-          w.iw_cursor <- len;
-          List.iter
-            (fun cex ->
-              w.iw_in <- w.iw_in + 1;
-              Cegis.learn session cex)
-            fresh;
-          match Cegis.step ~deadline session with
-          | Cegis.Done code ->
-              decided := true;
-              w.iw_won <- true;
-              Atomic.set decision (Some (Winner (w.iw_index, code)))
-          | Cegis.Progress cex ->
-              if pool_publish pool w.iw_origin cex then begin
-                w.iw_out <- w.iw_out + 1;
-                on_cex cex
-              end
-          | Cegis.Exhausted ->
-              decided := true;
-              w.iw_won <- true;
-              Atomic.set decision (Some (Proved_unsat w.iw_index))
-          | exception Ctx.Interrupted when not (cancelled ()) ->
-              (* spurious injected interrupt: session intact, step again
-                 next turn *)
-              ()
-        with
-        | Ctx.Timeout | Ctx.Interrupted ->
-            merge w;
-            w.iw_dead <- true
-        | e ->
-            record_crash w e;
-            merge w;
-            w.iw_attempt <- w.iw_attempt + 1;
-            if w.iw_crashes <= max_restarts then begin
-              w.iw_restarts <- w.iw_restarts + 1;
-              start w
-            end
-            else w.iw_dead <- true)
-  in
-  let rec spin () =
-    if !decided || cancelled () then ()
-    else begin
-      let progressed = ref false in
-      List.iter
-        (fun w ->
-          if (not !decided) && (not w.iw_dead) && not (cancelled ()) then begin
-            progressed := true;
-            step_worker w
-          end)
-        workers;
-      if !progressed then spin ()
-    end
-  in
-  spin ();
+  spin workers;
   List.map
     (fun w ->
-      merge w;
-      let w_stats =
-        {
-          w.iw_acc with
-          Report.Stats.worker_crashes = w.iw_crashes;
-          worker_restarts = w.iw_restarts;
-        }
-      in
+      let ws = retire w in
       if Telemetry.enabled () then
         Telemetry.point "portfolio.worker"
-          ~fields:
-            [
-              ("worker", Telemetry.str w.iw_config.label);
-              ("config", Telemetry.str (config_to_string w.iw_config));
-              ("iterations", Telemetry.int w_stats.Report.Stats.iterations);
-              ("published", Telemetry.int w.iw_out);
-              ("consumed", Telemetry.int w.iw_in);
-              ("finished", Telemetry.bool w.iw_won);
-              ("crashes", Telemetry.int w.iw_crashes);
-            ];
-      { w_stats; w_out = w.iw_out; w_in = w.iw_in; w_finished = w.iw_won })
+          ~fields:(id_fields w @ tally_fields ws);
+      ws)
     workers
+
+(* Ambient span context (the serve request id) and the hash-consing scope
+   are per-domain state: capture them in the parent and re-install them in
+   the spawned domain, so its solvers' events stay correlated to the
+   request and its expressions share the run's nodes.  The runtime lens,
+   when live, needs the request id as a ring beacon too, so GC intervals
+   on the new domain's ring are attributed to the request. *)
+let spawn f =
+  let ctx = Telemetry.current_context () in
+  let scope = Expr.current_scope () in
+  let in_request f =
+    match List.assoc_opt "request" ctx with
+    | Some (Telemetry.Sink.Str rid) when Telemetry.Runtime.active () ->
+        Telemetry.Runtime.set_request (Some rid);
+        Fun.protect ~finally:(fun () -> Telemetry.Runtime.set_request None) f
+    | _ -> f ()
+  in
+  Domain.spawn (fun () ->
+      Expr.with_scope scope (fun () ->
+          in_request (fun () -> Telemetry.with_context ctx f)))
 
 (* Reseeded copies of the round-0 configurations for restart round [r].
    Every worker gets a fresh deterministic seed (8191 is coprime to the
@@ -546,15 +448,24 @@ let synthesize ?(timeout = 120.0) ?(jobs = 4) ?(restart_interval = 20.0)
     Cegis.make_matrix_vars ~data_len:problem.Cegis.data_len
       ~check_len:problem.Cegis.check_len
   in
-  let stop = Atomic.make false in
-  let stop_at = Atomic.make 0.0 in
-  let decision = Atomic.make None in
-  let pool = pool_create () in
-  let best = best_create () in
-  (* origins are unique across rounds, workers and supervised restarts;
-     -1 marks resumed counterexamples so every worker imports them *)
-  let origin_counter = Atomic.make 0 in
-  List.iter (fun cex -> ignore (pool_publish pool (-1) cex)) initial;
+  let race =
+    {
+      problem;
+      vars;
+      deadline;
+      stop = Atomic.make false;
+      stop_at = Atomic.make 0.0;
+      decision = Atomic.make None;
+      pool = pool_create ();
+      best = best_create ();
+      (* origins are unique across rounds, workers and supervised restarts;
+         -1 marks resumed counterexamples so every worker imports them *)
+      origin_counter = Atomic.make 0;
+      interrupt;
+      on_cex;
+    }
+  in
+  List.iter (fun cex -> ignore (pool_publish race.pool (-1) cex)) initial;
   if Telemetry.enabled () then
     Telemetry.point "portfolio.start"
       ~fields:
@@ -581,7 +492,7 @@ let synthesize ?(timeout = 120.0) ?(jobs = 4) ?(restart_interval = 20.0)
       if jobs = 1 || restart_interval <= 0.0 then deadline
       else min deadline (now +. (restart_interval *. float_of_int (1 lsl r)))
     in
-    Atomic.set stop false;
+    Atomic.set race.stop false;
     if Telemetry.enabled () then
       Telemetry.point "portfolio.round"
         ~fields:
@@ -589,54 +500,20 @@ let synthesize ?(timeout = 120.0) ?(jobs = 4) ?(restart_interval = 20.0)
             ("round", Telemetry.int r);
             ("budget_s", Telemetry.float (round_deadline -. now));
           ];
-    let run i config =
-      run_worker ~problem ~vars ~deadline:round_deadline ~stop ~stop_at
-        ~decision ~pool ~best ~origin_counter ~ext_interrupt:interrupt ~on_cex
-        i config
-    in
-    let outcomes =
-      match round_configs with
+    let round = { race with deadline = round_deadline } in
+    let workers =
+      match List.mapi (worker round) round_configs with
       | [ only ] ->
           (* jobs = 1: run inline, no domain — deterministic replay of the
              sequential loop *)
-          [ run 0 only ]
-      | _ when not use_domains ->
-          run_interleaved ~problem ~vars ~deadline:round_deadline ~decision
-            ~pool ~best ~origin_counter ~ext_interrupt:interrupt ~on_cex
-            round_configs
-      | _ ->
-          (* ambient span context (the serve request id) and the
-             hash-consing scope are per-domain state: capture them here
-             and re-install in each worker so the spawned solvers' events
-             stay correlated to the request and their expressions share
-             the run's nodes *)
-          let ctx = Telemetry.current_context () in
-          let scope = Expr.current_scope () in
-          let domains =
-            List.mapi
-              (fun i c ->
-                Domain.spawn (fun () ->
-                    Expr.with_scope scope (fun () ->
-                        with_runtime_request ctx (fun () ->
-                            Telemetry.with_context ctx (fun () -> run i c)))))
-              round_configs
-          in
-          List.map Domain.join domains
-    in
-    let workers =
-      List.map2
-        (fun config o ->
-          {
-            config;
-            stats = o.w_stats;
-            shared_out = o.w_out;
-            shared_in = o.w_in;
-            finished = o.w_finished;
-          })
-        round_configs outcomes
+          [ run_alone only ]
+      | ws when not use_domains -> interleave ws
+      | ws ->
+          List.map Domain.join
+            (List.map (fun w -> spawn (fun () -> run_alone w)) ws)
     in
     let acc_workers = acc_workers @ workers in
-    match Atomic.get decision with
+    match Atomic.get race.decision with
     | Some _ -> (acc_workers, round_configs, r + 1)
     | None ->
         if round_deadline >= deadline || interrupt () then
@@ -652,7 +529,8 @@ let synthesize ?(timeout = 120.0) ?(jobs = 4) ?(restart_interval = 20.0)
       winner;
       wall_clock;
       rounds = rounds_run;
-      totals = Report.Stats.sum (List.map (fun w -> w.stats) workers);
+      totals =
+        Report.Stats.sum (List.map (fun (w : worker_stats) -> w.stats) workers);
     }
   in
   let finish outcome =
@@ -675,12 +553,12 @@ let synthesize ?(timeout = 120.0) ?(jobs = 4) ?(restart_interval = 20.0)
     end;
     outcome
   in
-  match Atomic.get decision with
+  match Atomic.get race.decision with
   | Some (Winner (i, code)) ->
       finish (Report.Synthesized (code, report (winner_config i)))
   | Some (Proved_unsat i) -> finish (Report.Unsat_config (report (winner_config i)))
   | None -> (
-      match best_get best with
+      match best_get race.best with
       | Some (code, _) -> finish (Report.Partial (code, report None))
       | None -> finish (Report.Timed_out (report None)))
 
@@ -732,18 +610,8 @@ let verify_min_distance ?(timeout = 120.0) ?(jobs = 4) code m =
   (match strategies with
   | [ only ] -> run only
   | _ ->
-      let ctx = Telemetry.current_context () in
-      let scope = Expr.current_scope () in
-      let domains =
-        List.map
-          (fun s ->
-            Domain.spawn (fun () ->
-                Expr.with_scope scope (fun () ->
-                    with_runtime_request ctx (fun () ->
-                        Telemetry.with_context ctx (fun () -> run s)))))
-          strategies
-      in
-      List.iter Domain.join domains);
+      List.iter Domain.join
+        (List.map (fun s -> spawn (fun () -> run s)) strategies));
   let wall_clock = Unix.gettimeofday () -. start in
   match Atomic.get decision with
   | Some (name, answer) -> (answer, name, wall_clock)
@@ -762,7 +630,7 @@ let pp_report fmt r =
   | Some c -> Format.fprintf fmt "winner: %s@." (config_to_string c)
   | None -> Format.fprintf fmt "winner: none (timed out)@.");
   List.iter
-    (fun w ->
+    (fun (w : worker_stats) ->
       Format.fprintf fmt
         "  %-40s iters=%-4d vcalls=%-4d syn_cf=%-6d ver_cf=%-6d out=%-3d in=%-3d%s%s@."
         (config_to_string w.config) w.stats.Report.Stats.iterations
@@ -783,7 +651,7 @@ let report_to_json r =
       ( "workers",
         J.List
           (List.map
-             (fun w ->
+             (fun (w : worker_stats) ->
                J.Obj
                  [
                    ("config", J.Str (config_to_string w.config));

@@ -1,8 +1,8 @@
 (** Multicore portfolio CEGIS: race [K] differently-configured workers on
     one synthesis problem, sharing counterexamples.
 
-    Each worker drives its own {!Cegis.session} in a separate domain,
-    varying the cardinality encoding, counterexample mode, verifier and a
+    Each worker drives its own {!Cegis.session}, in its own domain or
+    interleaved with the others in the calling domain, varying the cardinality encoding, counterexample mode, verifier and a
     per-solver random seed (see {!Sat.Solver.set_seed}).  Every learned
     counterexample is published to a mutex-protected shared pool in raw
     witness form; between iterations each worker drains the entries it has
@@ -80,14 +80,17 @@ val config_to_string : config -> string
     [configs], when given, must have exactly [jobs] entries and seeds its
     round 0; restart rounds derive reseeded copies.
 
-    {b Supervision.} Worker bodies run under {!Supervisor.run}: an
-    exception that is not cooperative cancellation — a crash, including
-    injected {!Fault.Injected} faults — is answered by restarting that
-    worker with a fresh seed and solver state (jittered backoff on the
-    domains path; immediate and deterministic on the interleaved path).
-    A solver interrupt that no one requested (an injected fault) is
-    detected by re-checking the genuine interrupt condition and answered
-    by retrying the step.  Crash/restart totals surface in
+    {b Supervision.} Both schedulers step one kind of worker, which takes
+    its turns through {!Cegis.turn} (so a solver interrupt no one
+    requested, such as an injected fault, retries the step).  Any other
+    exception — a crash, including injected {!Fault.Injected} faults — is
+    decided by {!Supervisor.on_crash}: the worker restarts with a fresh
+    seed and solver state, or gives up after [max_restarts].  The domains
+    scheduler sleeps the jittered backoff before a restart; the interleave
+    restarts on the worker's next turn, so it stays deterministic.  Both
+    emit the same [supervisor.*] points, [portfolio.publish]/[consume]
+    counters and [portfolio.worker] fields (a span per domain, a point
+    per interleaved worker).  Crash/restart totals surface in
     {!Report.Stats.worker_crashes} / [worker_restarts].  The active
     {!Fault} spec (from [FEC_FAULT_SPEC]) is installed on entry.
 

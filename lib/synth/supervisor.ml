@@ -62,46 +62,40 @@ let backoff_delay policy ~label ~attempt =
   let u = unit_draw ~seed:policy.seed ~label ~attempt in
   Float.max 0.0 (base *. (1.0 +. (policy.jitter *. (u -. 0.5))))
 
+let on_crash policy ~label ~attempt e =
+  let point name fields =
+    if Telemetry.enabled () then
+      Telemetry.point name ~fields:(("worker", Telemetry.str label) :: fields)
+  in
+  point "supervisor.crash"
+    [
+      ("attempt", Telemetry.int attempt);
+      ("exn", Telemetry.str (Printexc.to_string e));
+    ];
+  if attempt >= policy.max_restarts then begin
+    point "supervisor.giveup" [ ("crashes", Telemetry.int (attempt + 1)) ];
+    None
+  end
+  else begin
+    let delay = backoff_delay policy ~label ~attempt in
+    point "supervisor.restart"
+      [
+        ("attempt", Telemetry.int (attempt + 1));
+        ("delay_s", Telemetry.float delay);
+      ];
+    Some delay
+  end
+
 let run ?(policy = default_policy) ?(label = "worker")
     ?(is_cancellation = default_cancellation) body =
-  let crashes = ref 0 in
-  let restarts = ref 0 in
-  let rec attempt i =
-    match body ~attempt:i with
-    | v -> { result = Ok v; crashes = !crashes; restarts = !restarts }
-    | exception e when not (is_cancellation e) ->
-        incr crashes;
-        if Telemetry.enabled () then
-          Telemetry.point "supervisor.crash"
-            ~fields:
-              [
-                ("worker", Telemetry.str label);
-                ("attempt", Telemetry.int i);
-                ("exn", Telemetry.str (Printexc.to_string e));
-              ];
-        if !crashes > policy.max_restarts then begin
-          if Telemetry.enabled () then
-            Telemetry.point "supervisor.giveup"
-              ~fields:
-                [
-                  ("worker", Telemetry.str label);
-                  ("crashes", Telemetry.int !crashes);
-                ];
-          { result = Error e; crashes = !crashes; restarts = !restarts }
-        end
-        else begin
-          let delay = backoff_delay policy ~label ~attempt:i in
-          if Telemetry.enabled () then
-            Telemetry.point "supervisor.restart"
-              ~fields:
-                [
-                  ("worker", Telemetry.str label);
-                  ("attempt", Telemetry.int (i + 1));
-                  ("delay_s", Telemetry.float delay);
-                ];
-          if delay > 0.0 then Unix.sleepf delay;
-          incr restarts;
-          attempt (i + 1)
-        end
+  let rec go attempt =
+    match body ~attempt with
+    | v -> { result = Ok v; crashes = attempt; restarts = attempt }
+    | exception e when not (is_cancellation e) -> (
+        match on_crash policy ~label ~attempt e with
+        | None -> { result = Error e; crashes = attempt + 1; restarts = attempt }
+        | Some delay ->
+            if delay > 0.0 then Unix.sleepf delay;
+            go (attempt + 1))
   in
-  attempt 0
+  go 0

@@ -31,6 +31,16 @@ val default_policy : policy
     one backoff discipline. *)
 val backoff_delay : policy -> label:string -> attempt:int -> float
 
+(** [on_crash policy ~label ~attempt e] is the one crash rule, shared by
+    {!run} and the portfolio's stepped workers: incarnation [attempt]
+    (counting from 0) of worker [label] raised [e].  It emits a
+    [supervisor.crash] point, then either answers [Some delay] — restart
+    after [delay] seconds ({!backoff_delay}), emitting
+    [supervisor.restart] — or, once [policy.max_restarts] restarts are
+    spent, [None] — give up, emitting [supervisor.giveup].  All three
+    points carry [worker = label]. *)
+val on_crash : policy -> label:string -> attempt:int -> exn -> float option
+
 (** Outcome of a supervised run: the body's value (or, after giving up,
     the last captured exception) plus crash/restart totals — these feed
     {!Report.Stats.worker_crashes} / [worker_restarts]. *)
@@ -42,11 +52,11 @@ type 'a run = {
 
 (** [run ?policy ?label ?is_cancellation body] calls [body ~attempt:0] and
     restarts it with an incremented attempt index after each captured
-    crash, sleeping the backoff delay in between; gives up after
-    [policy.max_restarts] restarts.  Exceptions for which
-    [is_cancellation] holds are re-raised to the caller unchanged.
-    Telemetry: [supervisor.crash] / [supervisor.restart] /
-    [supervisor.giveup] points, labelled with [label]. *)
+    crash, sleeping the backoff delay in between; {!on_crash} decides
+    each crash, so it gives up after [policy.max_restarts] restarts.
+    Exceptions for which [is_cancellation] holds are re-raised to the
+    caller unchanged.
+    Telemetry: {!on_crash}'s points, labelled with [label]. *)
 val run :
   ?policy:policy ->
   ?label:string ->

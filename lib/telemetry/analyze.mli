@@ -21,7 +21,6 @@ type parsed = {
 val of_string : string -> (parsed, string) result
 
 val event_ts : Sink.event -> float
-val event_fields : Sink.event -> Sink.fields
 
 (** {1 Validation ([fecsynth trace check])} *)
 

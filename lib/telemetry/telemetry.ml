@@ -13,8 +13,6 @@ module Html = Html
    the same single-atomic-load guard without a module cycle. *)
 let now = State.now
 let state = State.state
-let set_sink s = Atomic.set state s
-let current_sink () = Atomic.get state
 let enabled = State.enabled
 
 let emit ev =

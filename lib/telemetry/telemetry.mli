@@ -53,12 +53,6 @@ module Html = Html
 
 (** {1 Sink installation} *)
 
-(** [set_sink (Some s)] routes all subsequent events to [s];
-    [set_sink None] disables telemetry (the default). *)
-val set_sink : Sink.t option -> unit
-
-val current_sink : unit -> Sink.t option
-
 (** [enabled ()] is [true] iff a sink is installed — the single-load fast
     path guard. *)
 val enabled : unit -> bool
@@ -82,8 +76,6 @@ val now : unit -> float
 (** A span in progress.  When telemetry was disabled at {!begin_span} time
     the span is inert and {!end_span} is a no-op. *)
 type span
-
-val null_span : span
 
 (** [begin_span ?fields name] opens a span, emits [Span_begin], and pushes
     it on this domain's span stack (becoming the parent of nested spans). *)

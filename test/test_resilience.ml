@@ -394,11 +394,11 @@ let test_spurious_interrupts_are_retried () =
             (Hamming.Distance.min_distance code >= 3)
       | _ -> Alcotest.fail "spurious interrupts must not change the answer")
 
-let test_fault_trials_never_change_answer () =
+let test_fault_trials_never_change_answer scheduler () =
   (* acceptance: 20 seeded fault-injection trials of the md-4 portfolio,
      every one must reach the same decision as the fault-free run with a
      generator that verifies *)
-  (match Portfolio.synthesize ~jobs:3 ~scheduler:`Interleaved md4_problem with
+  (match Portfolio.synthesize ~jobs:3 ~scheduler md4_problem with
   | Report.Synthesized (code, _) -> check_md4 code
   | _ -> Alcotest.fail "fault-free baseline must synthesize");
   for seed = 1 to 20 do
@@ -408,12 +408,65 @@ let test_fault_trials_never_change_answer () =
         seed
     in
     with_fault_spec spec (fun () ->
-        match
-          Portfolio.synthesize ~jobs:3 ~scheduler:`Interleaved md4_problem
-        with
+        match Portfolio.synthesize ~jobs:3 ~scheduler md4_problem with
         | Report.Synthesized (code, _) -> check_md4 code
         | _ -> Alcotest.failf "trial seed=%d changed the decision" seed)
   done
+
+(* ---------------------------------------------------------------- *)
+(* scheduler parity: both schedulers step the same supervised worker *)
+(* ---------------------------------------------------------------- *)
+
+let test_schedulers_report_alike scheduler () =
+  (* the first worker start crashes: whichever scheduler runs the race,
+     the crash and its restart are reported under the crashed worker's
+     label, the totals count them once, and pool traffic shows up as
+     publish/consume counters *)
+  let sink, events = Telemetry.Sink.memory () in
+  let outcome =
+    with_fault_spec "seed=5,worker.start.crash=1.0:max=1" (fun () ->
+        Telemetry.with_sink sink (fun () ->
+            Portfolio.synthesize ~jobs:3 ~scheduler md4_problem))
+  in
+  let report =
+    match outcome with
+    | Report.Synthesized (code, report) ->
+        check_md4 code;
+        report
+    | _ -> Alcotest.fail "the race must still decide"
+  in
+  (* the [worker] label of every point or counter named [name] *)
+  let labels name =
+    List.filter_map
+      (function
+        | Telemetry.Sink.Point { name = n; fields; _ }
+        | Telemetry.Sink.Counter { name = n; fields; _ }
+          when n = name -> (
+            match List.assoc_opt "worker" fields with
+            | Some (Telemetry.Sink.Str w) -> Some w
+            | _ -> None)
+        | _ -> None)
+      (events ())
+  in
+  (match labels "supervisor.crash" with
+  | [ crashed ] ->
+      Alcotest.(check (list string))
+        "restart under the crashed worker's label" [ crashed ]
+        (labels "supervisor.restart")
+  | ls -> Alcotest.failf "expected one supervisor.crash, got %d" (List.length ls));
+  let totals = report.Portfolio.totals in
+  Alcotest.(check int) "crashes" 1 totals.Report.Stats.worker_crashes;
+  Alcotest.(check int) "restarts" 1 totals.Report.Stats.worker_restarts;
+  List.iter
+    (fun (w : Portfolio.worker_stats) ->
+      let label = w.Portfolio.config.Portfolio.label in
+      let counted name = List.mem label (labels name) in
+      if w.Portfolio.shared_out > 0 && not (counted "portfolio.publish") then
+        Alcotest.failf "%s published without a portfolio.publish counter"
+          label;
+      if w.Portfolio.shared_in > 0 && not (counted "portfolio.consume") then
+        Alcotest.failf "%s consumed without a portfolio.consume counter" label)
+    report.Portfolio.workers
 
 let () =
   Alcotest.run "resilience"
@@ -481,6 +534,15 @@ let () =
           Alcotest.test_case "spurious interrupts retried" `Quick
             test_spurious_interrupts_are_retried;
           Alcotest.test_case "20 seeded trials, same answer" `Slow
-            test_fault_trials_never_change_answer;
+            (test_fault_trials_never_change_answer `Interleaved);
+          Alcotest.test_case "20 seeded trials on domains, same answer" `Slow
+            (test_fault_trials_never_change_answer `Domains);
+        ] );
+      ( "scheduler-parity",
+        [
+          Alcotest.test_case "interleaved reports a crash" `Quick
+            (test_schedulers_report_alike `Interleaved);
+          Alcotest.test_case "domains report a crash" `Quick
+            (test_schedulers_report_alike `Domains);
         ] );
     ]
