@@ -538,7 +538,7 @@ let () =
           Alcotest.test_case "20 seeded trials on domains, same answer" `Slow
             (test_fault_trials_never_change_answer `Domains);
         ] );
-      ( "scheduler-parity",
+      ( "sched-parity",
         [
           Alcotest.test_case "interleaved reports a crash" `Quick
             (test_schedulers_report_alike `Interleaved);
