@@ -133,9 +133,8 @@ let table1 () =
         Synth.Optimize.minimize_check_len ~timeout:120.0 ~data_len:4 ~md ~check_lo:2
           ~check_hi:14 ()
       with
-      | Synth.Report.Synthesized (r, _) ->
+      | Synth.Report.Synthesized (r, st) ->
           Hashtbl.replace table1_results md r.Synth.Optimize.code;
-          let st = r.Synth.Optimize.stats in
           record_instance ~experiment:"table1"
             ~instance:(Printf.sprintf "md=%d" md)
             ~wall_s:st.Synth.Report.Stats.elapsed
@@ -159,8 +158,7 @@ let table1 () =
         Synth.Optimize.minimize_check_len ~timeout:120.0 ~data_len:k ~md ~check_lo:2
           ~check_hi:14 ()
       with
-      | Synth.Report.Synthesized (r, _) ->
-          let st = r.Synth.Optimize.stats in
+      | Synth.Report.Synthesized (r, st) ->
           record_instance ~experiment:"table1"
             ~instance:(Printf.sprintf "k=%d md=%d" k md)
             ~wall_s:st.Synth.Report.Stats.elapsed
@@ -450,7 +448,7 @@ let multibit () =
     Synth.Multibit_synth.minimize_check_len ~timeout:120.0 ~data_len:4 ~distinguish:2
       ~check_lo:2 ~check_hi:14 ()
   with
-  | Some (code, checks, stats) ->
+  | Synth.Report.Synthesized ({ code; check_len = checks }, stats) ->
       record_instance ~experiment:"multibit"
         ~instance:(Printf.sprintf "distinguish=2 k=4 c=%d" checks)
         ~wall_s:stats.Synth.Report.Stats.elapsed
@@ -461,7 +459,9 @@ let multibit () =
         checks
         (Hamming.Distance.min_distance code)
         stats.Synth.Report.Stats.iterations stats.Synth.Report.Stats.elapsed
-  | None -> print_endline "no 2-distinguishing code found (unexpected)"
+  | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
+  | Synth.Report.Partial _ ->
+      print_endline "no 2-distinguishing code found (unexpected)"
 
 (* ---------------------------------------------------------------- *)
 (* AB1: cardinality-encoding ablation                                *)

@@ -52,7 +52,10 @@ let prop_arg =
   Arg.(required & opt (some string) None & info [ "p"; "prop" ] ~docv:"PROP" ~doc)
 
 let timeout_arg =
-  let doc = "Solver timeout in seconds." in
+  let doc =
+    "Budget in seconds for the whole job: every configuration an \
+     objective walk tries shares it."
+  in
   Arg.(value & opt float 120.0 & info [ "t"; "timeout" ] ~docv:"SECONDS" ~doc)
 
 let checkpoint_arg =
@@ -117,7 +120,7 @@ let print_answer (result : Session.result) =
           Printf.printf "descriptor: %s\n" (Fec_core.Registry.describe_code code))
         codes;
       print_stats stats
-  | Session.Optimized ({ code; check_len; _ }, stats) ->
+  | Session.Optimized ({ code; check_len }, stats) ->
       Printf.printf "minimal check length %d: (%d,%d) generator, md %d:\n%s\n"
         check_len (Hamming.Code.block_len code) (Hamming.Code.data_len code)
         (Hamming.Distance.min_distance code)
@@ -125,7 +128,7 @@ let print_answer (result : Session.result) =
       print_stats stats
   | Session.Setbits steps -> (
       List.iter
-        (fun (s : Synth.Optimize.setbits_step) ->
+        (fun (s : Synth.Optimize.step) ->
           Printf.printf "bound %d -> achieved %d (%d iterations, %.2f s)\n"
             s.bound s.achieved s.step_stats.iterations s.step_stats.elapsed)
         steps;
@@ -137,11 +140,9 @@ let print_answer (result : Session.result) =
   | Session.Weighted w ->
       let t0, t1 = w.counts and c0, c1 = w.codes in
       Printf.printf
-        "mapping: %s (split %d/%d), sum_w = %.4f%s, %d iterations, %.2f s\n"
+        "mapping: %s (split %d/%d), sum_w = %.4f (proved optimal), %d iterations, %.2f s\n"
         (String.concat "" (Array.to_list (Array.map string_of_int w.mapping)))
-        t0 t1 w.sum_w
-        (if w.optimal then " (proved optimal)" else "")
-        w.iterations w.elapsed;
+        t0 t1 w.sum_w w.iterations w.elapsed;
       Printf.printf "generator 0:\n%s\ngenerator 1:\n%s\n"
         (Hamming.Code.to_string c0) (Hamming.Code.to_string c1)
   | Session.Partial { code; achieved; check_len; stats } ->

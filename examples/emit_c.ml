@@ -7,16 +7,31 @@
 
 let () =
   print_endline "minimizing coefficient set bits for a (49,32) md-3 generator ...";
-  let steps =
-    Synth.Optimize.minimize_set_bits ~timeout:60.0 ~data_len:32 ~check_len:17 ~md:3
-      ~start_bound:200 ~stop_bound:100 ()
+  let task =
+    Synth.Driver.Min_set_bits
+      ( {
+          Synth.Driver.data_len = 32;
+          check_lo = 17;
+          check_hi = 17;
+          md = 3;
+          len1_max = None;
+          fixed_bits = [];
+        },
+        200 )
   in
-  match List.rev steps with
-  | [] -> print_endline "no generator found (unexpected)"
-  | best :: _ ->
-      let code = best.Synth.Optimize.generator in
-      Printf.printf "best generator: %d set bits (walked %d bound steps)\n"
-        (Hamming.Code.set_bits code) (List.length steps);
+  (* the walk's last generator, or the best one it verified before its
+     budget ran out *)
+  let best =
+    match Synth.Driver.run ~timeout:60.0 task with
+    | Synth.Driver.Setbits steps ->
+        Option.map (fun s -> s.Synth.Optimize.generator) (List.nth_opt (List.rev steps) 0)
+    | Synth.Driver.Partial { code; achieved; _ } when achieved >= 3 -> Some code
+    | _ -> None
+  in
+  match best with
+  | None -> print_endline "no generator found (unexpected)"
+  | Some code ->
+      Printf.printf "best generator: %d set bits\n" (Hamming.Code.set_bits code);
       let dir = "generated" in
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
       let write name contents =

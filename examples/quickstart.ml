@@ -44,9 +44,9 @@ let () =
     Synth.Optimize.minimize_check_len ~timeout:60.0 ~data_len:4 ~md:4 ~check_lo:2
       ~check_hi:14 ()
   with
-  | Synth.Report.Synthesized (r, _) ->
+  | Synth.Report.Synthesized (r, stats) ->
       Format.printf "found one with %d check bits after %d CEGIS iterations:@.%a@."
-        r.Synth.Optimize.check_len r.Synth.Optimize.stats.Synth.Report.Stats.iterations
+        r.Synth.Optimize.check_len stats.Synth.Report.Stats.iterations
         Hamming.Code.pp r.Synth.Optimize.code
   | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
   | Synth.Report.Partial _ -> print_endline "synthesis failed (unexpected)"

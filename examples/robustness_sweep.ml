@@ -22,7 +22,7 @@ let () =
       | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
       | Synth.Report.Partial _ ->
           Printf.printf "%-4d (synthesis failed)\n" md
-      | Synth.Report.Synthesized (r, _) ->
+      | Synth.Report.Synthesized (r, stats) ->
           let code = r.Synth.Optimize.code in
           let codec = Channel.Montecarlo.codec_of_code code in
           let mc =
@@ -30,7 +30,7 @@ let () =
               (Channel.Montecarlo.uniform_data codec)
           in
           Printf.printf "%-4d %-6d %-11d %-12d %-12.0f %-14d\n" md
-            r.Synth.Optimize.check_len r.Synth.Optimize.stats.Synth.Report.Stats.iterations
+            r.Synth.Optimize.check_len stats.Synth.Report.Stats.iterations
             mc.Channel.Montecarlo.flips_ge_md mc.Channel.Montecarlo.expected_flips_ge_md
             mc.Channel.Montecarlo.undetected)
     [ 2; 3; 4; 5; 6 ];

@@ -36,8 +36,7 @@ let float32_with_weights ?(timeout = 360.0) ?(p = 0.1) weights =
   let g0 = { Synth.Weighted.check_len = 5; min_distance = 3 } in
   let g1 = { Synth.Weighted.check_len = 1; min_distance = 2 } in
   match Synth.Weighted.optimize ~timeout ~p ~weights g0 g1 with
-  | None -> None
-  | Some r ->
+  | Synth.Report.Synthesized (r, _) ->
       let codec = assemble ~mapping:r.Synth.Weighted.mapping ~codes:r.Synth.Weighted.codes in
       Some
         {
@@ -47,6 +46,7 @@ let float32_with_weights ?(timeout = 360.0) ?(p = 0.1) weights =
           sum_w = r.Synth.Weighted.sum_w;
           elapsed = Unix.gettimeofday () -. start;
         }
+  | _ -> None
 
 let float32 ?timeout ?p ?(samples = 50_000) () =
   let profile = Channel.Bitflip.float32_profile ~samples () in

@@ -120,7 +120,7 @@ let result_fields r =
             ( "steps",
               J.List
                 (List.map
-                   (fun (s : Synth.Optimize.setbits_step) ->
+                   (fun (s : Synth.Optimize.step) ->
                      J.Obj
                        [
                          ("bound", J.Int s.bound);
@@ -130,12 +130,11 @@ let result_fields r =
                        ])
                    steps) );
           ] )
-    | Weighted { mapping; sum_w; counts = t0, t1; codes = c0, c1; iterations; elapsed; optimal } ->
+    | Weighted { mapping; sum_w; counts = t0, t1; codes = c0, c1; iterations; elapsed } ->
         ( "weighted",
           [
             ("mapping", J.Str (String.concat "" (Array.to_list (Array.map string_of_int mapping))));
             ("sum_w", J.Float sum_w);
-            ("optimal", J.Bool optimal);
             ("split", J.List [ J.Int t0; J.Int t1 ]);
             ("iterations", J.Int iterations);
             ("elapsed_s", J.Float elapsed);
@@ -422,8 +421,7 @@ let run_job ?on_report ~intr ~t0 request =
     let outcome =
       match (request.job, outcome) with
       | Optimize _, Codes ([ code ], stats) ->
-          Optimized
-            ({ Synth.Optimize.code; check_len = Hamming.Code.check_len code; stats }, stats)
+          Optimized ({ Synth.Optimize.code; check_len = Hamming.Code.check_len code }, stats)
       | _ -> outcome
     in
     let interrupted = (not hit) && intr () in

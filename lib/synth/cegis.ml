@@ -358,11 +358,12 @@ let rec turn ~deadline s =
 let synthesize ?(timeout = 120.0) ?(cex_mode = Data_word)
     ?(verifier = Combinatorial) ?(encoding = Card.Sequential) ?seed ?interrupt
     ?initial ?on_progress problem =
+  (* the budget covers the whole call, building the session included *)
+  let deadline = Unix.gettimeofday () +. timeout in
   let s =
     create_session ~cex_mode ~verifier ~encoding ?seed ?interrupt ?initial
       problem
   in
-  let deadline = s.start +. timeout in
   let rec loop () =
     match turn ~deadline s with
     | Some Exhausted -> Report.Unsat_config (session_stats s)

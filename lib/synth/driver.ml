@@ -196,149 +196,155 @@ let check_pin s (r, c, _) =
 
 (* translate pinned generator entries into coefficient-matrix constraints;
    language column indices cover the whole generator (identity included);
-   each pin is checked when the list is built, before any solving *)
+   [run] checks every pin before any solving *)
 let fixed_bit_constraints s =
   List.map
-    (fun ((r, c, v) as pin) ->
-      check_pin s pin;
-      fun ~entry ->
-        if c < s.data_len then
-          (* identity part: constraint must agree with I_k *)
-          if (r = c) = v then Smtlite.Expr.true_ else Smtlite.Expr.false_
-        else
-          let e = entry ~row:r ~col:(c - s.data_len) in
-          if v then e else Smtlite.Expr.not_ e)
+    (fun (r, c, v) ~entry ->
+      if c < s.data_len then
+        (* identity part: constraint must agree with I_k *)
+        if (r = c) = v then Smtlite.Expr.true_ else Smtlite.Expr.false_
+      else
+        let e = entry ~row:r ~col:(c - s.data_len) in
+        if v then e else Smtlite.Expr.not_ e)
     s.fixed_bits
 
 (* the shortest check length whose generator holds every pinned column *)
 let pinned_check_len s =
   List.fold_left (fun acc (_, c, _) -> max acc (c - s.data_len + 1)) 0 s.fixed_bits
 
-let len1_constraint s =
-  match s.len1_max with
-  | None -> []
-  | Some bound ->
-      [
-        (fun ~entry ->
-          let bits = ref [] in
-          for i = 0 to s.data_len - 1 do
-            for j = 0 to s.check_hi - 1 do
-              bits := entry ~row:i ~col:j :: !bits
-            done
-          done;
-          Smtlite.Card.at_most Smtlite.Card.Sequential !bits bound);
-      ]
+(* the CEGIS problem of one walk attempt: a [check_len]-column generator
+   of distance [md] holding [s]'s pins and the set-bit bound [len1] *)
+let walk_problem s ~check_len ~md ~len1 =
+  let at_most bound ~entry =
+    let bits = ref [] in
+    for i = 0 to s.data_len - 1 do
+      for j = 0 to check_len - 1 do
+        bits := entry ~row:i ~col:j :: !bits
+      done
+    done;
+    Smtlite.Card.at_most Smtlite.Card.Sequential !bits bound
+  in
+  {
+    Cegis.data_len = s.data_len;
+    check_len;
+    min_distance = md;
+    extra = fixed_bit_constraints s @ Option.to_list (Option.map at_most len1);
+  }
 
-let run_single ?timeout ?jobs ?on_report ?(interrupt = fun () -> false)
-    ?(initial = []) ?(on_cex = fun (_ : Cegis.cex) -> ()) ?on_round ~walk s =
-  let synthesize ~initial problem =
-    match jobs with
-    | None ->
-        Cegis.synthesize ?timeout ~interrupt ~initial
-          ~on_progress:(fun _ cex -> on_cex cex)
-          problem
-    | Some jobs ->
-        (* portfolio path: race [jobs] configurations, report per-worker
-           statistics through the callback, collapse to the sequential
-           outcome shape with worker-summed statistics (elapsed becomes the
-           race's wall clock rather than summed solver time) *)
-        let outcome =
-          Portfolio.synthesize ?timeout ~jobs ~interrupt ~initial ~on_cex
-            problem
-        in
-        let report = Report.outcome_info outcome in
-        (match on_report with Some f -> f report | None -> ());
-        let stats =
-          { report.Portfolio.totals with Report.Stats.elapsed = report.Portfolio.wall_clock }
-        in
-        match outcome with
-        | Report.Synthesized (code, _) -> Report.Synthesized (code, stats)
-        | Report.Unsat_config _ -> Report.Unsat_config stats
-        | Report.Timed_out _ -> Report.Timed_out stats
-        | Report.Partial (code, _) -> Report.Partial (code, stats)
-  in
-  (* resumed counterexamples must fit the configuration they are replayed
-     into: raw data witnesses transfer to any check length, blocked
-     candidates only to their own dimensions *)
-  let fits c = function
-    | Cegis.Cex_data d -> Gf2.Bitvec.length d = s.data_len
-    | Cegis.Cex_candidate code ->
-        Hamming.Code.data_len code = s.data_len
-        && Hamming.Code.check_len code = c
-  in
-  (* a pin no length in range can hold is an error naming the entry;
-     lengths too short for the pins are skipped *)
-  List.iter (check_pin s) s.fixed_bits;
-  let attempt c =
-    let extra =
-      fixed_bit_constraints { s with check_hi = c } @ len1_constraint { s with check_hi = c }
-    in
-    synthesize ~initial:(List.filter (fits c) initial)
-      { Cegis.data_len = s.data_len; check_len = c; min_distance = s.md; extra }
-  in
-  match
-    Optimize.walk_check_len ~interrupt ?on_round ~steps:walk
-      ~check_lo:(max s.check_lo (pinned_check_len s)) ~check_hi:s.check_hi attempt
-  with
-  | Report.Synthesized (r, totals) -> Codes ([ r.Optimize.code ], totals)
-  | Report.Unsat_config totals ->
-      Unsat { reason = "no check length in range admits the spec"; stats = Some totals }
-  | Report.Timed_out totals ->
-      let reason = if interrupt () then "interrupted" else "synthesis budget exhausted" in
-      Timeout { reason; stats = Some totals }
-  | Report.Partial ({ Optimize.code; check_len; _ }, totals) ->
-      (* the candidate is real but its distance target was never
-         verified: recompute the achieved bound before reporting *)
-      Partial
-        {
-          code;
-          achieved = Hamming.Distance.min_distance code;
-          check_len = (if walk then Some check_len else None);
-          stats = totals;
-        }
+(* resumed counterexamples must fit the configuration they are replayed
+   into: raw data witnesses transfer to any check length, blocked
+   candidates only to their own dimensions *)
+let fits (p : Cegis.problem) = function
+  | Cegis.Cex_data d -> Gf2.Bitvec.length d = p.data_len
+  | Cegis.Cex_candidate code ->
+      Hamming.Code.data_len code = p.data_len
+      && Hamming.Code.check_len code = p.check_len
 
-let run ?timeout ?weights ?p ?jobs ?on_report ?interrupt ?initial ?on_cex
-    ?on_round task =
-  match task with
-  | Fixed s | Min_check_len s ->
-      let walk = match task with Min_check_len _ -> true | _ -> false in
-      run_single ?timeout ?jobs ?on_report ?interrupt ?initial ?on_cex ?on_round
-        ~walk s
-  | Max_distance s ->
-      (* grow the distance target until the configuration goes UNSAT; a
-         fixed check length is required so "maximal" is well-defined *)
-      if s.check_lo <> s.check_hi then unsupported "maximal(md) needs a fixed len_c";
-      let rec grow md best =
-        let problem =
-          {
-            Cegis.data_len = s.data_len;
-            check_len = s.check_lo;
-            min_distance = md;
-            extra = fixed_bit_constraints s @ len1_constraint s;
-          }
-        in
-        match Cegis.synthesize ?timeout ?interrupt problem with
-        | Report.Synthesized (code, stats) -> grow (md + 1) (Some (code, stats))
-        | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ -> best
+(* The one map from an objective walk to the job outcome.  A walk that
+   crossed its boundary answers what it proved: [Unsat] when its own
+   attempts refuted every parameter it tried, its verified generator(s)
+   otherwise.  A cut walk answers [Partial] with its best verified
+   generator, or else the near-miss candidate of the attempt it cut, and
+   [Timeout] with neither. *)
+let walk_outcome ~cut_reason task (w : Optimize.walk) =
+  let stats = w.totals in
+  match (w.ending, w.found) with
+  | Optimize.Boundary, [] ->
+      let reason =
+        match task with
+        | Min_set_bits _ -> "no generator within the starting bound"
+        | Max_distance _ -> "even the base distance is unsatisfiable"
+        | _ -> "no check length in range admits the spec"
       in
-      (match grow s.md None with
-      | Some (code, stats) -> Codes ([ code ], stats)
-      | None -> Unsat { reason = "even the base distance is unsatisfiable"; stats = None })
-  | Min_set_bits (s, start_bound) -> (
-      if s.check_lo <> s.check_hi then
-        unsupported "set-bit minimization needs a fixed len_c";
-      match
-        Optimize.minimize_set_bits ?timeout ?interrupt ~data_len:s.data_len
-          ~check_len:s.check_lo ~md:s.md ~start_bound ~stop_bound:0 ()
-      with
-      | [] -> Unsat { reason = "no generator within the starting bound"; stats = None }
-      | steps -> Setbits steps)
+      Unsat { reason; stats = Some stats }
+  | Optimize.Boundary, ({ generator; _ } :: _ as found) -> (
+      match task with
+      | Min_set_bits _ -> Setbits (List.rev found)
+      | _ -> Codes ([ generator ], stats))
+  | Optimize.Cut near, found -> (
+      match (found, near) with
+      | { bound = param; generator = code; _ } :: _, _ | [], Some (param, code) ->
+          (* recomputed: a near-miss candidate's distance was never verified *)
+          let achieved = Hamming.Distance.min_distance code in
+          let check_len = match task with Min_check_len _ -> Some param | _ -> None in
+          Partial { code; achieved; check_len; stats }
+      | [], None -> Timeout { reason = cut_reason (); stats = Some stats })
+
+let run ?(timeout = 120.0) ?weights ?p ?jobs ?on_report
+    ?(interrupt = fun () -> false) ?(initial = [])
+    ?(on_cex = fun (_ : Cegis.cex) -> ()) ?on_round task =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let cut_reason () =
+    if interrupt () then "interrupted" else "synthesis budget exhausted"
+  in
+  match task with
   | Weighted_mapping (g0, g1) -> (
       let weights =
         match weights with
         | Some w -> w
         | None -> unsupported "weighted synthesis requires weights"
       in
-      match Weighted.optimize ?timeout ?p ~weights g0 g1 with
-      | Some r -> Weighted r
-      | None -> unsupported "no mapping found within the initial bound")
+      match Weighted.optimize ~timeout ?p ~interrupt ~weights g0 g1 with
+      | Report.Synthesized (r, _) -> Weighted r
+      | Report.Unsat_config stats ->
+          Unsat
+            {
+              reason = "no split admits both generator shapes within the initial bound";
+              stats = Some stats;
+            }
+      | Report.Timed_out stats | Report.Partial (_, stats) ->
+          Timeout { reason = cut_reason (); stats = Some stats })
+  | Fixed s | Min_check_len s | Min_set_bits (s, _) | Max_distance s ->
+      let fixed_len what =
+        if s.check_lo <> s.check_hi then unsupported "%s needs a fixed len_c" what
+      in
+      (* the objective, its first parameter and the problem it poses *)
+      let objective, start, problem =
+        match task with
+        | Min_set_bits (_, bound) ->
+            fixed_len "set-bit minimization";
+            ( Optimize.Set_bits, bound,
+              fun b -> walk_problem s ~check_len:s.check_lo ~md:s.md ~len1:(Some b) )
+        | Max_distance _ ->
+            fixed_len "maximal(md)";
+            ( Optimize.Distance, s.md,
+              fun md -> walk_problem s ~check_len:s.check_lo ~md ~len1:s.len1_max )
+        | _ ->
+            ( Optimize.Check_len s.check_hi, max s.check_lo (pinned_check_len s),
+              fun c -> walk_problem s ~check_len:c ~md:s.md ~len1:s.len1_max )
+      in
+      (* a pin no length in range can hold is an error naming the entry;
+         lengths too short for the pins are skipped *)
+      List.iter (check_pin s) s.fixed_bits;
+      let attempt ~timeout param =
+        let problem = problem param in
+        let initial = List.filter (fits problem) initial in
+        match jobs with
+        | None ->
+            Cegis.synthesize ~timeout ~interrupt ~initial
+              ~on_progress:(fun _ cex -> on_cex cex)
+              problem
+        | Some jobs -> (
+            (* portfolio path: race [jobs] configurations, report per-worker
+               statistics through the callback, collapse to the sequential
+               outcome shape with worker-summed statistics (elapsed becomes
+               the race's wall clock rather than summed solver time) *)
+            let outcome =
+              Portfolio.synthesize ~timeout ~jobs ~interrupt ~initial ~on_cex
+                problem
+            in
+            let report = Report.outcome_info outcome in
+            Option.iter (fun f -> f report) on_report;
+            let stats =
+              { report.Portfolio.totals with Report.Stats.elapsed = report.Portfolio.wall_clock }
+            in
+            match outcome with
+            | Report.Synthesized (code, _) -> Report.Synthesized (code, stats)
+            | Report.Unsat_config _ -> Report.Unsat_config stats
+            | Report.Timed_out _ -> Report.Timed_out stats
+            | Report.Partial (code, _) -> Report.Partial (code, stats))
+      in
+      walk_outcome ~cut_reason task
+        (Optimize.walk ~interrupt ?on_round
+           ~steps:(match task with Fixed _ -> false | _ -> true)
+           ~deadline ~objective ~start attempt)

@@ -6,6 +6,7 @@
       an [md] target, optional [len_1] bounds and fixed-entry constraints,
       optionally [minimal(len_c(G[0]))] — §4.2 / Table 1;
     - the same with [minimal(len_1(G[0]))] — §4.4 / Figures 5-6;
+    - the same with [maximal(md(G[0]))] and a fixed [len_c];
     - two generators with fixed shapes plus [minimal(sum_w)] and weights
       supplied out-of-band — §4.3 / Table 2. *)
 
@@ -44,28 +45,25 @@ end
 exception Unsupported of string
 
 (** [run ?timeout ?weights ?p ?jobs ?on_report ?interrupt ?initial ?on_cex
-    ?on_round task] executes an analyzed task, or raises {!Unsupported}.
-    [weights] are required for weighted tasks.  [jobs] switches
-    single-generator synthesis to the {!Portfolio} racing [jobs] worker
-    configurations; [on_report] receives the portfolio report of each
-    synthesis call (other task shapes run sequentially regardless).
+    ?on_round task] executes an analyzed task within [timeout] seconds
+    (default 120) for the whole job, or raises {!Unsupported}.  [weights]
+    are required for weighted tasks, which share the budget and
+    [interrupt] between the mapping search and both generators.
 
-    [Fixed] and [Min_check_len] tasks share one check-length walk
-    ({!Optimize.walk_check_len}) from [check_lo] (raised to the shortest
-    length holding every pinned entry) to [check_hi]; the outcome's stats
-    are summed over every length tried.  Only a [Min_check_len] walk
-    emits [optimize.step] points.
-
-    [interrupt] is polled cooperatively inside solver search; when it
-    returns [true] the run winds down and reports [Partial] if any
-    candidate was refuted, [Timeout] otherwise.  [initial] replays
-    checkpointed counterexamples before the first candidate (witnesses
-    that do not fit a configuration being attempted are skipped for that
-    configuration); [on_cex] observes every newly learned counterexample
-    and [on_round] every check length just before it is attempted —
-    checkpoint writers hook in here.  [initial], [on_cex] and [on_round]
-    are honoured by the single-generator task shapes; objective walks
-    accept [interrupt] only. *)
+    A single-generator task is one {!Optimize.walk}: [Fixed] and
+    [Min_check_len] walk check lengths up from [check_lo] (raised to the
+    shortest length holding every pinned entry) to [check_hi] (only
+    [Fixed] emits no [optimize.step] points), [Min_set_bits] walks the
+    set-bit bound down and [Max_distance] the distance up.  Each attempt
+    is sequential CEGIS or, with [jobs], a {!Portfolio} race whose report
+    goes to [on_report]; stats are summed over every attempt.  [Unsat]
+    means the walk's own attempts refuted every parameter it tried; a
+    walk the deadline or [interrupt] cut short answers [Partial] with its
+    best verified generator or else its near-miss candidate, [Timeout]
+    with neither.  [initial] replays checkpointed counterexamples into
+    every attempt they fit; [on_cex] observes every newly learned
+    counterexample and [on_round] every parameter just before it is
+    attempted — checkpoint writers hook in here. *)
 val run :
   ?timeout:float ->
   ?weights:int array ->

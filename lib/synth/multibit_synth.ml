@@ -26,10 +26,5 @@ let synthesize ?timeout ~data_len ~check_len ~distinguish () =
   | r -> r
 
 let minimize_check_len ?timeout ~data_len ~distinguish ~check_lo ~check_hi () =
-  let md = target_md distinguish in
-  match
-    Optimize.minimize_check_len ?timeout ~data_len ~md ~check_lo ~check_hi ()
-  with
-  | Report.Synthesized (r, _) ->
-      Some (r.Optimize.code, r.Optimize.check_len, r.Optimize.stats)
-  | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ -> None
+  Optimize.minimize_check_len ?timeout ~data_len ~md:(target_md distinguish)
+    ~check_lo ~check_hi ()

@@ -23,8 +23,9 @@ val synthesize :
   (Hamming.Code.t, Report.Stats.t) Report.outcome
 
 (** [minimize_check_len ?timeout ~data_len ~distinguish ~check_lo ~check_hi ()]
-    walks check lengths upward and returns the first synthesizable one —
-    answering §6's question of how few check bits suffice. *)
+    walks check lengths upward to the first synthesizable one — answering
+    §6's question of how few check bits suffice — with the outcome of
+    {!Optimize.minimize_check_len}. *)
 val minimize_check_len :
   ?timeout:float ->
   data_len:int ->
@@ -32,4 +33,4 @@ val minimize_check_len :
   check_lo:int ->
   check_hi:int ->
   unit ->
-  (Hamming.Code.t * int * Report.Stats.t) option
+  (Optimize.check_result, Report.Stats.t) Report.outcome

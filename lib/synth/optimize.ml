@@ -1,8 +1,22 @@
-type check_result = {
-  code : Hamming.Code.t;
-  check_len : int;
-  stats : Report.Stats.t;
+type check_result = { code : Hamming.Code.t; check_len : int }
+
+type objective = Check_len of int | Set_bits | Distance
+
+type step = {
+  bound : int;
+  achieved : int;
+  generator : Hamming.Code.t;
+  step_stats : Report.Stats.t;
 }
+
+type ending = Boundary | Cut of (int * Hamming.Code.t) option
+
+type walk = { found : step list; ending : ending; totals : Report.Stats.t }
+
+let walk_name = function
+  | Check_len _ -> "check_len"
+  | Set_bits -> "set_bits"
+  | Distance -> "md"
 
 (* One configuration attempt of an optimization walk, as a telemetry event. *)
 let step_point ~walk ~param outcome =
@@ -18,78 +32,55 @@ let step_point ~walk ~param outcome =
           );
         ]
 
-let walk_check_len ?(interrupt = fun () -> false) ?on_round ?(steps = true)
-    ~check_lo ~check_hi attempt =
-  let rec go c acc =
-    if c > check_hi then Report.Unsat_config acc
-    else if interrupt () then Report.Timed_out acc
+let walk ?(interrupt = fun () -> false) ?(on_round = ignore) ?(steps = true)
+    ~deadline ~objective ~start attempt =
+  let rec go param found totals =
+    let past_end =
+      match objective with
+      | Check_len hi -> param > hi
+      | Set_bits -> param < 0
+      | Distance -> false
+    in
+    let left = deadline -. Unix.gettimeofday () in
+    if past_end then { found; ending = Boundary; totals }
+    else if interrupt () || left <= 0.0 then { found; ending = Cut None; totals }
     else begin
-      (match on_round with Some f -> f c | None -> ());
-      let outcome = attempt c in
-      if steps then step_point ~walk:"check_len" ~param:c outcome;
-      let acc = Report.Stats.add acc (Report.outcome_info outcome) in
+      on_round param;
+      let outcome = attempt ~timeout:left param in
+      if steps then step_point ~walk:(walk_name objective) ~param outcome;
+      let totals = Report.Stats.add totals (Report.outcome_info outcome) in
       match outcome with
-      | Report.Synthesized (code, _) ->
-          Report.Synthesized ({ code; check_len = c; stats = acc }, acc)
-      | Report.Unsat_config _ -> go (c + 1) acc
-      | Report.Timed_out _ -> Report.Timed_out acc
-      | Report.Partial (code, _) ->
-          (* the walk's budget died at check length [c], but its session
-             saw a near-miss candidate: surface it as the anytime result *)
-          Report.Partial ({ code; check_len = c; stats = acc }, acc)
+      | Report.Synthesized (generator, step_stats) -> (
+          let achieved = Hamming.Code.set_bits generator in
+          let found = { bound = param; achieved; generator; step_stats } :: found in
+          match objective with
+          | Check_len _ -> { found; ending = Boundary; totals }
+          (* tighten strictly below what was achieved *)
+          | Set_bits -> go (achieved - 1) found totals
+          | Distance -> go (param + 1) found totals)
+      | Report.Unsat_config _ -> (
+          match objective with
+          | Check_len _ -> go (param + 1) found totals
+          | Set_bits | Distance -> { found; ending = Boundary; totals })
+      | Report.Timed_out _ -> { found; ending = Cut None; totals }
+      | Report.Partial (code, _) -> { found; ending = Cut (Some (param, code)); totals }
     end
   in
-  go check_lo Report.Stats.zero
+  go start [] Report.Stats.zero
 
-let minimize_check_len ?timeout ?cex_mode ?verifier ?encoding ?interrupt
-    ~data_len ~md ~check_lo ~check_hi () =
-  walk_check_len ?interrupt ~check_lo ~check_hi (fun c ->
-      Cegis.synthesize ?timeout ?cex_mode ?verifier ?encoding ?interrupt
-        { Cegis.data_len; check_len = c; min_distance = md; extra = [] })
-
-type setbits_step = {
-  bound : int;
-  achieved : int;
-  generator : Hamming.Code.t;
-  step_stats : Report.Stats.t;
-}
-
-let minimize_set_bits ?timeout ?cex_mode ?verifier ?encoding ?interrupt
-    ~data_len ~check_len ~md ~start_bound ~stop_bound () =
-  let setbit_constraint bound ~entry =
-    let bits = ref [] in
-    for i = 0 to data_len - 1 do
-      for j = 0 to check_len - 1 do
-        bits := entry ~row:i ~col:j :: !bits
-      done
-    done;
-    Smtlite.Card.at_most Smtlite.Card.Sequential !bits bound
+let minimize_check_len ?(timeout = 120.0) ?cex_mode ?verifier ?encoding
+    ?interrupt ~data_len ~md ~check_lo ~check_hi () =
+  let w =
+    walk ?interrupt
+      ~deadline:(Unix.gettimeofday () +. timeout)
+      ~objective:(Check_len check_hi) ~start:check_lo
+      (fun ~timeout c ->
+        Cegis.synthesize ~timeout ?cex_mode ?verifier ?encoding ?interrupt
+          { Cegis.data_len; check_len = c; min_distance = md; extra = [] })
   in
-  let rec go bound acc =
-    if bound < stop_bound then List.rev acc
-    else
-      let problem =
-        {
-          Cegis.data_len;
-          check_len;
-          min_distance = md;
-          extra = [ setbit_constraint bound ];
-        }
-      in
-      let outcome =
-        Cegis.synthesize ?timeout ?cex_mode ?verifier ?encoding ?interrupt
-          problem
-      in
-      step_point ~walk:"set_bits" ~param:bound outcome;
-      match outcome with
-      | Report.Synthesized (code, stats) ->
-          let achieved = Hamming.Code.set_bits code in
-          let step = { bound; achieved; generator = code; step_stats = stats } in
-          (* tighten strictly below what was achieved *)
-          go (achieved - 1) (step :: acc)
-      | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ ->
-          (* the steps already collected are the anytime result of this
-             walk: every intermediate generator is returned *)
-          List.rev acc
-  in
-  go start_bound []
+  match (w.found, w.ending) with
+  | { bound; generator; _ } :: _, _ ->
+      Report.Synthesized ({ code = generator; check_len = bound }, w.totals)
+  | [], Boundary -> Report.Unsat_config w.totals
+  | [], Cut (Some (check_len, code)) -> Report.Partial ({ code; check_len }, w.totals)
+  | [], Cut None -> Report.Timed_out w.totals

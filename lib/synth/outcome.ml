@@ -13,7 +13,8 @@ type outcome =
   | Optimized of Optimize.check_result * Report.Stats.t
       (** the minimal check length found by the optimize job (a
           [minimal(len_c)] walk without pins or a [len_1] bound) *)
-  | Setbits of Optimize.setbits_step list
+  | Setbits of Optimize.step list
+      (** a finished [minimal(len_1)] walk's generators, fewest bits last *)
   | Weighted of Weighted.result
   | Partial of {
       code : Hamming.Code.t;
@@ -23,11 +24,11 @@ type outcome =
               task without an objective *)
       stats : Report.Stats.t;
     }
-      (** anytime result: the budget (deadline, interrupt) expired before
-          a verified generator was found, but at least one candidate had
-          been refuted — this is the best of them by refuting-witness
-          weight; its distance is below the target *)
+      (** anytime result: the budget (deadline, interrupt) cut the job
+          short.  [code] is the best generator a walk verified, or else
+          the cut attempt's closest refuted candidate by refuting-witness
+          weight (its distance is below the target) *)
   | Unsat of { reason : string; stats : Report.Stats.t option }
-      (** the specification is proved unsatisfiable *)
+      (** proved unsatisfiable: no budget or interrupt cut the search *)
   | Timeout of { reason : string; stats : Report.Stats.t option }
       (** the budget expired with no candidate to report *)

@@ -9,7 +9,6 @@ type result = {
   codes : Hamming.Code.t * Hamming.Code.t;
   iterations : int;
   elapsed : float;
-  optimal : bool;
 }
 
 (* Per-bit cost if the bit lands on a generator with [t] data bits in
@@ -35,7 +34,8 @@ let sum_w_of ~p ~weights ~mapping g0 g1 =
 
 let scale = 1_000_000_000.0
 
-let optimize ?(timeout = 360.0) ?(p = 0.1) ?(initial_bound = 1000.0) ~weights g0 g1 =
+let optimize ?(timeout = 360.0) ?(p = 0.1) ?(initial_bound = 1000.0)
+    ?(interrupt = fun () -> false) ~weights g0 g1 =
   let l = Array.length weights in
   if l = 0 then invalid_arg "Weighted.optimize: empty weights";
   if g0.check_len < 1 || g1.check_len < 1 then
@@ -45,6 +45,7 @@ let optimize ?(timeout = 360.0) ?(p = 0.1) ?(initial_bound = 1000.0) ~weights g0
   let start = Unix.gettimeofday () in
   let deadline = start +. timeout in
   let ctx = Ctx.create () in
+  Ctx.set_interrupt ctx (Some interrupt);
   let xs = Fresh.make_n l in
   (* x_j true <=> bit j mapped to generator 0 *)
   let xs_arr = Array.of_list xs in
@@ -76,72 +77,65 @@ let optimize ?(timeout = 360.0) ?(p = 0.1) ?(initial_bound = 1000.0) ~weights g0
     in
     Expr.and_ (List.init (l + 1) per_t)
   in
-  let iterations = ref 0 in
-  let best = ref None in
-  let proved_optimal = ref false in
-  (try
-     let current_bound = ref (scaled initial_bound) in
-     let continue_search = ref true in
-     while !continue_search do
-       Ctx.push ctx;
-       Ctx.assert_ ctx (bound_constraint !current_bound);
-       incr iterations;
-       match Ctx.check ~deadline ctx with
-       | Ctx.Unsat ->
-           Ctx.pop ctx;
-           proved_optimal := !best <> None;
-           continue_search := false
-       | Ctx.Sat ->
-           let mapping =
-             Array.map (fun x -> if Ctx.model_bool ctx x then 0 else 1) xs_arr
-           in
-           let achieved = sum_w_of ~p ~weights ~mapping g0 g1 in
-           best := Some (mapping, achieved);
-           Ctx.pop ctx;
-           let next = scaled achieved - 1 in
-           if next < 0 then begin
-             proved_optimal := true;
-             continue_search := false
-           end
-           else current_bound := next
-     done
-   with Ctx.Timeout -> ());
-  match !best with
-  | None -> None
-  | Some (mapping, achieved) ->
-      let t0 = Array.fold_left (fun acc g -> if g = 0 then acc + 1 else acc) 0 mapping in
-      let t1 = l - t0 in
-      (* synthesize concrete generators for the chosen shapes *)
-      let synth_code ~data_len shape =
-        let remaining = deadline -. Unix.gettimeofday () in
-        let timeout = max 5.0 remaining in
-        let problem =
-          {
-            Cegis.data_len;
-            check_len = shape.check_len;
-            min_distance = shape.min_distance;
-            extra = [];
-          }
+  let stats = ref Report.Stats.zero in
+  let totals () =
+    { !stats with Report.Stats.elapsed = Unix.gettimeofday () -. start }
+  in
+  (* walk the bound down until UNSAT proves the last mapping optimal (or
+     the objective reaches 0); [None] when no mapping meets the bound *)
+  let rec search bound best =
+    Ctx.push ctx;
+    Ctx.assert_ ctx (bound_constraint bound);
+    stats := { !stats with iterations = !stats.Report.Stats.iterations + 1 };
+    match Ctx.check ~deadline ctx with
+    | Ctx.Unsat ->
+        Ctx.pop ctx;
+        best
+    | Ctx.Sat ->
+        let mapping =
+          Array.map (fun x -> if Ctx.model_bool ctx x then 0 else 1) xs_arr
         in
-        match Cegis.synthesize ~timeout problem with
-        | Report.Synthesized (code, stats) ->
-            iterations := !iterations + stats.Report.Stats.iterations;
-            code
-        | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ ->
-            (* fall back to a catalog construction of the same shape
-               (a partial candidate is unverified, so it does not count) *)
-            if shape.min_distance <= 2 then Hamming.Catalog.parity data_len
-            else Hamming.Catalog.shortened ~data_len ~check_len:shape.check_len
-      in
-      let code0 = synth_code ~data_len:t0 g0 in
-      let code1 = synth_code ~data_len:t1 g1 in
-      Some
-        {
-          mapping;
-          sum_w = achieved;
-          counts = (t0, t1);
-          codes = (code0, code1);
-          iterations = !iterations;
-          elapsed = Unix.gettimeofday () -. start;
-          optimal = !proved_optimal;
-        }
+        let achieved = sum_w_of ~p ~weights ~mapping g0 g1 in
+        Ctx.pop ctx;
+        let next = scaled achieved - 1 in
+        if next < 0 then Some (mapping, achieved)
+        else search next (Some (mapping, achieved))
+  in
+  let exception Refuted in
+  let exception Cut in
+  (* the generator of one side of a split, within the job's deadline *)
+  let shape_code ~data_len { check_len; min_distance } =
+    let outcome =
+      Cegis.synthesize
+        ~timeout:(deadline -. Unix.gettimeofday ())
+        ~interrupt
+        { Cegis.data_len; check_len; min_distance; extra = [] }
+    in
+    stats := Report.Stats.add !stats (Report.outcome_info outcome);
+    match outcome with
+    | Report.Synthesized (code, _) -> code
+    | Report.Unsat_config _ -> raise Refuted
+    | Report.Timed_out _ | Report.Partial _ -> raise Cut
+  in
+  (* the optimal mapping whose split admits both generator shapes: a
+     refuted shape blocks its split count and the bound search resumes *)
+  let rec settle () =
+    match search (scaled initial_bound) None with
+    | None -> Report.Unsat_config (totals ())
+    | Some (mapping, sum_w) -> (
+        let t0 = Array.fold_left (fun acc g -> if g = 0 then acc + 1 else acc) 0 mapping in
+        let t1 = l - t0 in
+        match
+          let code0 = shape_code ~data_len:t0 g0 in
+          (code0, shape_code ~data_len:t1 g1)
+        with
+        | exception Refuted ->
+            Ctx.assert_ ctx (Expr.not_ (sel_t t0));
+            settle ()
+        | codes ->
+            let ({ Report.Stats.iterations; elapsed; _ } as totals) = totals () in
+            Report.Synthesized
+              ({ mapping; sum_w; counts = (t0, t1); codes; iterations; elapsed }, totals))
+  in
+  try settle ()
+  with Ctx.Timeout | Ctx.Interrupted | Cut -> Report.Timed_out (totals ())

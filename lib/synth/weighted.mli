@@ -9,7 +9,9 @@
     where [len_d(i)] is the number of bits mapped to generator [i].  The
     real-valued objective is scaled to integers and encoded exactly; the
     optimization walks the bound downward from [initial_bound] (the paper
-    starts at 1000) until UNSAT proves optimality or the timeout hits. *)
+    starts at 1000) until UNSAT proves optimality, then synthesizes both
+    generators; a split whose shape is refuted is blocked and the search
+    resumes. *)
 
 type gen_shape = { check_len : int; min_distance : int }
 
@@ -21,21 +23,24 @@ type result = {
       (** generators synthesized for the optimal shapes *)
   iterations : int;  (** solver queries, including the generator CEGIS *)
   elapsed : float;
-  optimal : bool;  (** [true] if UNSAT proved no better mapping exists *)
 }
 
-(** [optimize ?timeout ?p ?initial_bound ~weights g0 g1] runs the search.
-    [p] is the channel bit-error probability (default 0.1, as in the
-    paper); weights are non-negative integers.
+(** [optimize ?timeout ?p ?initial_bound ?interrupt ~weights g0 g1] runs
+    the search within [timeout] seconds (default 360) for the mapping and
+    both generators.  [p] is the channel bit-error probability (default
+    0.1, as in the paper); weights are non-negative integers.  The outcome
+    is never [Partial]: a cut search is [Timed_out], and [Unsat_config]
+    means no split within [initial_bound] admits both shapes.
     @raise Invalid_argument on empty weights or non-positive shapes. *)
 val optimize :
   ?timeout:float ->
   ?p:float ->
   ?initial_bound:float ->
+  ?interrupt:(unit -> bool) ->
   weights:int array ->
   gen_shape ->
   gen_shape ->
-  result option
+  (result, Report.Stats.t) Report.outcome
 
 (** [sum_w_of ~p ~weights ~mapping g0 g1] evaluates the objective for a
     concrete mapping (exposed for tests and reporting). *)

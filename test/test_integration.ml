@@ -42,8 +42,9 @@ let test_design_frame_correct () =
   let g0 = { Synth.Weighted.check_len = 4; min_distance = 3 } in
   let g1 = { Synth.Weighted.check_len = 1; min_distance = 2 } in
   match Synth.Weighted.optimize ~timeout:60.0 ~p:0.1 ~weights g0 g1 with
-  | None -> Alcotest.fail "no weighted design"
-  | Some r ->
+  | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _ | Synth.Report.Partial _ ->
+      Alcotest.fail "no weighted design"
+  | Synth.Report.Synthesized (r, _) ->
       let codec =
         Fec_core.Composite.of_mapping
           ~codes:[| fst r.Synth.Weighted.codes; snd r.Synth.Weighted.codes |]

@@ -392,7 +392,6 @@ let test_answer_table () =
       codes = (code, code);
       iterations = 3;
       elapsed = 0.1;
-      optimal = true;
     }
   in
   let partial check_len = Session.Partial { code; achieved = 2; check_len; stats } in
@@ -419,7 +418,7 @@ let test_answer_table () =
       ("codes", Session.Codes ([ code ], stats), "synthesized", ("synthesized", 0), ("synthesized", 0),
         fun l j -> Alcotest.(check bool) (l ^ ": stats") true (has "stats" j));
       ( "optimized",
-        Session.Optimized ({ Synth.Optimize.code; check_len = 3; stats }, stats),
+        Session.Optimized ({ Synth.Optimize.code; check_len = 3 }, stats),
         "synthesized", ("synthesized", 0), ("synthesized", 0),
         fun l j -> Alcotest.(check (option int)) (l ^ ": check_len") (Some 3) (Option.bind (J.member "check_len" j) J.to_int) );
       ( "setbits", Session.Setbits [ step; step ], "setbits_walk", ("synthesized", 0), ("synthesized", 0),

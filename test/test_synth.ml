@@ -437,8 +437,14 @@ let test_double_lex_at_bound () =
 
 let test_minimize_set_bits_walk () =
   let steps =
-    Optimize.minimize_set_bits ~timeout:60.0 ~data_len:8 ~check_len:4 ~md:3
-      ~start_bound:32 ~stop_bound:0 ()
+    match
+      Driver.run ~timeout:60.0
+        (Driver.Min_set_bits
+           ( { Driver.data_len = 8; check_lo = 4; check_hi = 4; md = 3; len1_max = None; fixed_bits = [] },
+             32 ))
+    with
+    | Driver.Setbits steps -> steps
+    | _ -> Alcotest.fail "expected a set-bit walk that reached its boundary"
   in
   Alcotest.(check bool) "at least one step" true (List.length steps > 0);
   (* bounds strictly decrease and every generator meets md and its bound *)
@@ -470,8 +476,9 @@ let test_weighted_prefers_strong_generator_for_heavy_bits () =
   let g0 = { Weighted.check_len = 5; min_distance = 3 } in
   let g1 = { Weighted.check_len = 1; min_distance = 2 } in
   match Weighted.optimize ~timeout:120.0 ~p:0.1 ~weights:float_weights g0 g1 with
-  | None -> Alcotest.fail "expected a mapping"
-  | Some r ->
+  | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ ->
+      Alcotest.fail "expected a mapping"
+  | Report.Synthesized (r, _) ->
       let t0, t1 = r.Weighted.counts in
       Alcotest.(check int) "all bits assigned" 16 (t0 + t1);
       (* heavy (high-weight) bits must go to the stronger generator 0 *)
@@ -500,9 +507,9 @@ let test_weighted_optimal_against_bruteforce () =
     if v < !best then best := v
   done;
   match Weighted.optimize ~timeout:60.0 ~p:0.1 ~weights g0 g1 with
-  | None -> Alcotest.fail "expected a mapping"
-  | Some r ->
-      Alcotest.(check bool) "proved optimal" true r.Weighted.optimal;
+  | Report.Unsat_config _ | Report.Timed_out _ | Report.Partial _ ->
+      Alcotest.fail "expected a proved-optimal mapping"
+  | Report.Synthesized (r, _) ->
       Alcotest.(check (float 1e-9)) "matches brute force" !best r.Weighted.sum_w
 
 let test_weighted_rejects_bad_input () =
@@ -531,7 +538,7 @@ let test_multibit_beats_manual_construction () =
     Multibit_synth.minimize_check_len ~timeout:120.0 ~data_len:4 ~distinguish:2
       ~check_lo:2 ~check_hi:14 ()
   with
-  | Some (code, checks, _) ->
+  | Report.Synthesized ({ Optimize.code; check_len = checks }, _) ->
       Alcotest.(check int) "minimal check bits" 7 checks;
       Alcotest.(check bool) "2-bit correction works" true
         (let w = Hamming.Code.encode code (Gf2.Bitvec.of_string "1010") in
@@ -541,7 +548,7 @@ let test_multibit_beats_manual_construction () =
          match Hamming.Multibit.correct_up_to code 2 w' with
          | Some fixed -> Gf2.Bitvec.equal fixed w
          | None -> false)
-  | None -> Alcotest.fail "expected a code"
+  | _ -> Alcotest.fail "expected a code"
 
 let test_multibit_rejects_bad_input () =
   Alcotest.check_raises "distinguish 0"
@@ -784,6 +791,73 @@ let test_driver_reports_unsat () =
   | Driver.Unsat _ -> ()
   | _ -> Alcotest.fail "expected unsat"
 
+(* ---------- one budgeted objective walk ---------- *)
+
+let walk_spec objective =
+  task_of
+    (Spec.Parse.prop
+       ("len_d(G[0]) = 14 && len_c(G[0]) = 15 && md(G[0]) = 7 && " ^ objective))
+
+let test_cut_walk_never_unsat () =
+  (* a budget that cuts a walk proves nothing about the parameters it
+     did not finish *)
+  List.iter
+    (fun objective ->
+      match Driver.run ~timeout:0.05 (walk_spec objective) with
+      | Driver.Partial _ | Driver.Timeout _ -> ()
+      | Driver.Unsat { reason; _ } ->
+          Alcotest.failf "%s: cut walk answered unsat (%s)" objective reason
+      | _ -> Alcotest.failf "%s: cut walk claimed its optimum" objective)
+    [ "minimal(len_1(G[0]))"; "maximal(md(G[0]))" ]
+
+let test_interrupted_walk_is_partial () =
+  (* the interrupt fires once the base distance is synthesized, as the
+     walk moves on to the next one *)
+  let moved_on = ref false in
+  match
+    Driver.run ~timeout:60.0
+      ~on_round:(fun d -> if d > 2 then moved_on := true)
+      ~interrupt:(fun () -> !moved_on)
+      (task_of
+         (Spec.Parse.prop
+            "len_d(G[0]) = 4 && len_c(G[0]) = 7 && md(G[0]) >= 2 && maximal(md(G[0]))"))
+  with
+  | Driver.Partial { achieved; _ } as outcome ->
+      Alcotest.(check bool) "keeps the verified base distance" true (achieved >= 2);
+      Alcotest.(check (pair string int)) "settles as interrupted" ("interrupted", 130)
+        (Fec_session.Session.verdict outcome ~interrupted:true)
+  | _ -> Alcotest.fail "an interrupted walk must not claim its optimum"
+
+let test_walk_shares_the_job_budget () =
+  (* c = 9 alone takes most of the budget; c = 10 gets only what is left *)
+  let t0 = Unix.gettimeofday () in
+  let outcome =
+    Driver.run ~timeout:1.0
+      (task_of
+         (Spec.Parse.prop
+            "len_d(G[0]) = 14 && len_c(G[0]) <= 16 && md(G[0]) = 7 && minimal(len_c(G[0]))"))
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "returned after %.2f s" wall) true (wall <= 1.3);
+  match outcome with
+  | Driver.Unsat _ -> Alcotest.fail "a cut walk must not answer unsat"
+  | _ -> ()
+
+let test_weighted_codes_meet_their_shapes () =
+  let weights = [| 50; 40; 30; 20; 10; 5; 2; 1 |] in
+  let g1 = { Weighted.check_len = 1; min_distance = 2 } in
+  let run g0 = Driver.run ~timeout:60.0 ~weights (Driver.Weighted_mapping (g0, g1)) in
+  (match run { Weighted.check_len = 4; min_distance = 4 } with
+  | Driver.Weighted r ->
+      let c0, c1 = r.Weighted.codes in
+      Alcotest.(check bool) "G[0] reaches md 4" true (md c0 >= 4);
+      Alcotest.(check bool) "G[1] reaches md 2" true (md c1 >= 2)
+  | _ -> Alcotest.fail "expected a weighted mapping");
+  (* three check bits reach distance 5 for no data length *)
+  match run { Weighted.check_len = 3; min_distance = 5 } with
+  | Driver.Unsat _ -> ()
+  | _ -> Alcotest.fail "expected unsat: no split admits G[0]'s shape"
+
 let () =
   Alcotest.run "synth"
     [
@@ -875,5 +949,16 @@ let () =
           Alcotest.test_case "maximal(md)" `Quick test_driver_maximal_md;
           Alcotest.test_case "unsupported shapes" `Quick test_driver_rejects_unsupported;
           Alcotest.test_case "unsat reported" `Quick test_driver_reports_unsat;
+        ] );
+      ( "objective walk",
+        [
+          Alcotest.test_case "a cut walk never answers unsat" `Quick
+            test_cut_walk_never_unsat;
+          Alcotest.test_case "an interrupted walk is partial" `Quick
+            test_interrupted_walk_is_partial;
+          Alcotest.test_case "attempts share the job budget" `Quick
+            test_walk_shares_the_job_budget;
+          Alcotest.test_case "weighted codes meet their shapes" `Quick
+            test_weighted_codes_meet_their_shapes;
         ] );
     ]
