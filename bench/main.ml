@@ -130,22 +130,20 @@ let table1 () =
     (fun md ->
       let pc, pi, pt = List.assoc md paper in
       match
-        Synth.Optimize.minimize_check_len ~timeout:120.0 ~data_len:4 ~md ~check_lo:2
-          ~check_hi:14 ()
+        Synth.Driver.run ~timeout:120.0
+          (Synth.Driver.min_check_len ~data_len:4 ~md ~check_lo:2 ~check_hi:14)
       with
-      | Synth.Report.Synthesized (r, st) ->
-          Hashtbl.replace table1_results md r.Synth.Optimize.code;
+      | Synth.Driver.Codes ([ code ], st) ->
+          Hashtbl.replace table1_results md code;
           record_instance ~experiment:"table1"
             ~instance:(Printf.sprintf "md=%d" md)
             ~wall_s:st.Synth.Report.Stats.elapsed
             ~iterations:st.Synth.Report.Stats.iterations
             ~conflicts:st.Synth.Report.Stats.syn_conflicts ();
           Printf.printf "%-9d %-10d %-11d %-9.2f %-10d (%d, %d, %.2f)\n" md
-            r.Synth.Optimize.check_len st.Synth.Report.Stats.iterations
+            (Hamming.Code.check_len code) st.Synth.Report.Stats.iterations
             st.Synth.Report.Stats.elapsed st.Synth.Report.Stats.syn_conflicts pc pi pt
-      | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
-      | Synth.Report.Partial _ ->
-          Printf.printf "%-9d TIMEOUT/UNSAT within c<=14\n" md)
+      | _ -> Printf.printf "%-9d TIMEOUT/UNSAT within c<=14\n" md)
     [ 8; 7; 6; 5; 4; 3; 2 ];
   (* Beyond the paper: the same walks for 5 and 6 data bits.  Their
      c_min - 1 proofs are what the column order of P makes affordable;
@@ -155,21 +153,19 @@ let table1 () =
   List.iter
     (fun (k, md) ->
       match
-        Synth.Optimize.minimize_check_len ~timeout:120.0 ~data_len:k ~md ~check_lo:2
-          ~check_hi:14 ()
+        Synth.Driver.run ~timeout:120.0
+          (Synth.Driver.min_check_len ~data_len:k ~md ~check_lo:2 ~check_hi:14)
       with
-      | Synth.Report.Synthesized (r, st) ->
+      | Synth.Driver.Codes ([ code ], st) ->
           record_instance ~experiment:"table1"
             ~instance:(Printf.sprintf "k=%d md=%d" k md)
             ~wall_s:st.Synth.Report.Stats.elapsed
             ~iterations:st.Synth.Report.Stats.iterations
             ~conflicts:st.Synth.Report.Stats.syn_conflicts ();
-          Printf.printf "%-4d %-9d %-10d %-11d %-9.2f %-10d\n" k md r.Synth.Optimize.check_len
-            st.Synth.Report.Stats.iterations st.Synth.Report.Stats.elapsed
-            st.Synth.Report.Stats.syn_conflicts
-      | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
-      | Synth.Report.Partial _ ->
-          Printf.printf "%-4d %-9d TIMEOUT/UNSAT within c<=14\n" k md)
+          Printf.printf "%-4d %-9d %-10d %-11d %-9.2f %-10d\n" k md
+            (Hamming.Code.check_len code) st.Synth.Report.Stats.iterations
+            st.Synth.Report.Stats.elapsed st.Synth.Report.Stats.syn_conflicts
+      | _ -> Printf.printf "%-4d %-9d TIMEOUT/UNSAT within c<=14\n" k md)
     (List.concat_map (fun k -> List.map (fun md -> (k, md)) [ 5; 6; 7; 8 ]) [ 5; 6 ]);
   print_newline ();
   print_endline "note: some rows come out strictly better than the paper's prototype";
@@ -213,12 +209,11 @@ let fig4 () =
         | Some c -> Some c
         | None -> (
             match
-              Synth.Optimize.minimize_check_len ~timeout:120.0 ~data_len:4 ~md ~check_lo:2
-                ~check_hi:14 ()
+              Synth.Driver.run ~timeout:120.0
+                (Synth.Driver.min_check_len ~data_len:4 ~md ~check_lo:2 ~check_hi:14)
             with
-            | Synth.Report.Synthesized (r, _) -> Some r.Synth.Optimize.code
-            | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
-            | Synth.Report.Partial _ -> None)
+            | Synth.Driver.Codes ([ code ], _) -> Some code
+            | _ -> None)
       in
       match code with
       | None -> Printf.printf "%-4d (no generator)\n" md
@@ -448,7 +443,8 @@ let multibit () =
     Synth.Multibit_synth.minimize_check_len ~timeout:120.0 ~data_len:4 ~distinguish:2
       ~check_lo:2 ~check_hi:14 ()
   with
-  | Synth.Report.Synthesized ({ code; check_len = checks }, stats) ->
+  | Synth.Driver.Codes ([ code ], stats) ->
+      let checks = Hamming.Code.check_len code in
       record_instance ~experiment:"multibit"
         ~instance:(Printf.sprintf "distinguish=2 k=4 c=%d" checks)
         ~wall_s:stats.Synth.Report.Stats.elapsed
@@ -459,9 +455,7 @@ let multibit () =
         checks
         (Hamming.Distance.min_distance code)
         stats.Synth.Report.Stats.iterations stats.Synth.Report.Stats.elapsed
-  | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
-  | Synth.Report.Partial _ ->
-      print_endline "no 2-distinguishing code found (unexpected)"
+  | _ -> print_endline "no 2-distinguishing code found (unexpected)"
 
 (* ---------------------------------------------------------------- *)
 (* AB1: cardinality-encoding ablation                                *)

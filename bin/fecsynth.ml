@@ -33,8 +33,8 @@ let synth_exits =
         ~doc:"the time budget expired with nothing to report.";
       Cmdliner.Cmd.Exit.info Session.exit_partial
         ~doc:
-          "the budget expired before verification; the best unverified \
-           candidate was reported.";
+          "the budget expired first; a walk's best verified generator, or \
+           else the best unverified candidate, was reported.";
       Cmdliner.Cmd.Exit.info Session.exit_interrupted
         ~doc:
           "interrupted by SIGINT after flushing traces, checkpoints and \
@@ -145,16 +145,17 @@ let print_answer (result : Session.result) =
         t0 t1 w.sum_w w.iterations w.elapsed;
       Printf.printf "generator 0:\n%s\ngenerator 1:\n%s\n"
         (Hamming.Code.to_string c0) (Hamming.Code.to_string c1)
-  | Session.Partial { code; achieved; check_len; stats } ->
+  | Session.Partial { code; achieved; check_len; verified; stats } ->
       Printf.printf "partial: %s %s\n"
         (if intr then "interrupted" else "budget expired")
-        (match check_len with
-        | Some c -> Printf.sprintf "at check length %d" c
-        | None -> "before verification finished");
-      Printf.printf
-        "best candidate so far: (%d,%d) generator, achieved md %d:\n%s\n"
+        (match (check_len, verified) with
+        | Some c, _ -> Printf.sprintf "at check length %d" c
+        | None, true -> "before the walk finished"
+        | None, false -> "before verification finished");
+      Printf.printf "%s: (%d,%d) generator, achieved md %d, %d set bits:\n%s\n"
+        (if verified then "best verified generator" else "best candidate so far")
         (Hamming.Code.block_len code) (Hamming.Code.data_len code) achieved
-        (Hamming.Code.to_string code);
+        (Hamming.Code.set_bits code) (Hamming.Code.to_string code);
       print_stats stats
   | Session.Unsat { reason; _ } -> Printf.printf "unsatisfiable: %s\n" reason
   | Session.Timeout { reason; _ } ->

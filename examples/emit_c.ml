@@ -25,7 +25,7 @@ let () =
     match Synth.Driver.run ~timeout:60.0 task with
     | Synth.Driver.Setbits steps ->
         Option.map (fun s -> s.Synth.Optimize.generator) (List.nth_opt (List.rev steps) 0)
-    | Synth.Driver.Partial { code; achieved; _ } when achieved >= 3 -> Some code
+    | Synth.Driver.Partial { code; verified = true; _ } -> Some code
     | _ -> None
   in
   match best with

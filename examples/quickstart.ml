@@ -41,12 +41,11 @@ let () =
   (* now synthesize a better one: same data length, minimum distance 4 *)
   print_endline "\nsynthesizing a 4-bit-data generator with minimum distance 4 ...";
   match
-    Synth.Optimize.minimize_check_len ~timeout:60.0 ~data_len:4 ~md:4 ~check_lo:2
-      ~check_hi:14 ()
+    Synth.Driver.run ~timeout:60.0
+      (Synth.Driver.min_check_len ~data_len:4 ~md:4 ~check_lo:2 ~check_hi:14)
   with
-  | Synth.Report.Synthesized (r, stats) ->
+  | Synth.Driver.Codes ([ code ], stats) ->
       Format.printf "found one with %d check bits after %d CEGIS iterations:@.%a@."
-        r.Synth.Optimize.check_len stats.Synth.Report.Stats.iterations
-        Hamming.Code.pp r.Synth.Optimize.code
-  | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
-  | Synth.Report.Partial _ -> print_endline "synthesis failed (unexpected)"
+        (Hamming.Code.check_len code) stats.Synth.Report.Stats.iterations
+        Hamming.Code.pp code
+  | _ -> print_endline "synthesis failed (unexpected)"

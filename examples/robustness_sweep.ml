@@ -16,23 +16,20 @@ let () =
   List.iter
     (fun md ->
       match
-        Synth.Optimize.minimize_check_len ~timeout:120.0 ~data_len:4 ~md ~check_lo:2
-          ~check_hi:14 ()
+        Synth.Driver.run ~timeout:120.0
+          (Synth.Driver.min_check_len ~data_len:4 ~md ~check_lo:2 ~check_hi:14)
       with
-      | Synth.Report.Unsat_config _ | Synth.Report.Timed_out _
-      | Synth.Report.Partial _ ->
-          Printf.printf "%-4d (synthesis failed)\n" md
-      | Synth.Report.Synthesized (r, stats) ->
-          let code = r.Synth.Optimize.code in
+      | Synth.Driver.Codes ([ code ], stats) ->
           let codec = Channel.Montecarlo.codec_of_code code in
           let mc =
             Channel.Montecarlo.run ~codec ~md ~words ~p ~seed:(0xFEC + md)
               (Channel.Montecarlo.uniform_data codec)
           in
           Printf.printf "%-4d %-6d %-11d %-12d %-12.0f %-14d\n" md
-            r.Synth.Optimize.check_len stats.Synth.Report.Stats.iterations
+            (Hamming.Code.check_len code) stats.Synth.Report.Stats.iterations
             mc.Channel.Montecarlo.flips_ge_md mc.Channel.Montecarlo.expected_flips_ge_md
-            mc.Channel.Montecarlo.undetected)
+            mc.Channel.Montecarlo.undetected
+      | _ -> Printf.printf "%-4d (synthesis failed)\n" md)
     [ 2; 3; 4; 5; 6 ];
   print_endline "\nas in the paper's Figure 4: undetected errors collapse as md grows,";
   print_endline "while the >=md-flip count tracks the analytic P_u closely."

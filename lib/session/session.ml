@@ -140,9 +140,9 @@ let result_fields r =
             ("elapsed_s", J.Float elapsed);
             codes_json [ c0; c1 ];
           ] )
-    | Partial { code; achieved; check_len; _ } ->
+    | Partial { code; achieved; check_len; verified; _ } ->
         ( "partial",
-          [ ("achieved_md", J.Int achieved); codes_json [ code ] ]
+          [ ("achieved_md", J.Int achieved); ("verified", J.Bool verified); codes_json [ code ] ]
           @ match check_len with Some c -> [ ("check_len", J.Int c) ] | None -> [] )
     | Unsat { reason; _ } -> ("unsat", [ ("reason", J.Str reason) ])
     | Timeout { reason; _ } -> ("timeout", [ ("reason", J.Str reason) ])
@@ -378,11 +378,7 @@ let analyze = function
         weights,
         if portfolio then Some jobs else None )
   | Optimize { data_len; md; check_lo; check_hi } ->
-      ( Ok
-          (Synth.Driver.Min_check_len
-             { data_len; check_lo; check_hi; md; len1_max = None; fixed_bits = [] }),
-        None,
-        None )
+      (Ok (Synth.Driver.min_check_len ~data_len ~md ~check_lo ~check_hi), None, None)
 
 (* record start -> analyze -> cache -> resume/warm/writer -> solve ->
    record *)

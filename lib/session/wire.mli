@@ -27,8 +27,8 @@
       synth answer; an optimize answer adds ["check_len"] before
       ["codes"]
     - [{"outcome":"setbits_walk","steps":[{"bound","achieved","code":C,"stats":S}],"stats":S,...}]
-    - [{"outcome":"weighted","mapping","sum_w","optimal","split","iterations","elapsed_s","codes":[C0,C1],...}]
-    - [{"outcome":"partial","achieved_md","codes":[C],"check_len"?,"stats":S,...}]
+    - [{"outcome":"weighted","mapping","sum_w","split","iterations","elapsed_s","codes":[C0,C1],...}]
+    - [{"outcome":"partial","achieved_md","verified","codes":[C],"check_len"?,"stats":S,...}]
     - [{"outcome":"unsat"|"timeout","reason","stats"?,...}]
 
     where [C] is [{"block_len","data_len","matrix"}] and [S] the

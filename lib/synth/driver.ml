@@ -262,13 +262,19 @@ let walk_outcome ~cut_reason task (w : Optimize.walk) =
       | Min_set_bits _ -> Setbits (List.rev found)
       | _ -> Codes ([ generator ], stats))
   | Optimize.Cut near, found -> (
+      let partial ~verified param code =
+        (* recomputed: a near-miss candidate's distance was never verified *)
+        let achieved = Hamming.Distance.min_distance code in
+        let check_len = match task with Min_check_len _ -> Some param | _ -> None in
+        Partial { code; achieved; check_len; verified; stats }
+      in
       match (found, near) with
-      | { bound = param; generator = code; _ } :: _, _ | [], Some (param, code) ->
-          (* recomputed: a near-miss candidate's distance was never verified *)
-          let achieved = Hamming.Distance.min_distance code in
-          let check_len = match task with Min_check_len _ -> Some param | _ -> None in
-          Partial { code; achieved; check_len; stats }
+      | { bound; generator; _ } :: _, _ -> partial ~verified:true bound generator
+      | [], Some (param, code) -> partial ~verified:false param code
       | [], None -> Timeout { reason = cut_reason (); stats = Some stats })
+
+let min_check_len ~data_len ~md ~check_lo ~check_hi =
+  Min_check_len { data_len; check_lo; check_hi; md; len1_max = None; fixed_bits = [] }
 
 let run ?(timeout = 120.0) ?weights ?p ?jobs ?on_report
     ?(interrupt = fun () -> false) ?(initial = [])
@@ -318,7 +324,12 @@ let run ?(timeout = 120.0) ?weights ?p ?jobs ?on_report
       List.iter (check_pin s) s.fixed_bits;
       let attempt ~timeout param =
         let problem = problem param in
-        let initial = List.filter (fits problem) initial in
+        (* counterexamples are learned and replayed at the task's own
+           distance only: a candidate a [maximal(md)] attempt refutes
+           above it may still meet it *)
+        let at_md = problem.min_distance = s.md in
+        let initial = if at_md then List.filter (fits problem) initial else [] in
+        let on_cex = if at_md then on_cex else ignore in
         match jobs with
         | None ->
             Cegis.synthesize ~timeout ~interrupt ~initial

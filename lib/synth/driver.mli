@@ -32,6 +32,14 @@ and single = {
           index relative to the whole generator, as in the language) *)
 }
 
+(** [min_check_len ~data_len ~md ~check_lo ~check_hi] is the plain
+    [minimal(len_c)] task (the §4.2 / Table 1 walk, and the optimize
+    job): no pins and no [len_1] bound.  {!run} answers it with
+    [Codes [code]] at the minimal length ([Hamming.Code.check_len code]),
+    [Unsat] when every length up to [check_hi] is refuted, or
+    [Partial]/[Timeout] when the budget cuts the walk. *)
+val min_check_len : data_len:int -> md:int -> check_lo:int -> check_hi:int -> task
+
 (** [analyze prop] classifies a specification, or explains why it is
     outside the supported fragment. *)
 val analyze : Spec.Ast.prop -> (task, string) Stdlib.result
@@ -59,11 +67,13 @@ exception Unsupported of string
     goes to [on_report]; stats are summed over every attempt.  [Unsat]
     means the walk's own attempts refuted every parameter it tried; a
     walk the deadline or [interrupt] cut short answers [Partial] with its
-    best verified generator or else its near-miss candidate, [Timeout]
-    with neither.  [initial] replays checkpointed counterexamples into
-    every attempt they fit; [on_cex] observes every newly learned
-    counterexample and [on_round] every parameter just before it is
-    attempted — checkpoint writers hook in here. *)
+    best verified generator ([verified]) or else its near-miss candidate,
+    [Timeout] with neither.  [initial] replays checkpointed
+    counterexamples into every attempt they fit; [on_cex] observes every
+    counterexample newly learned; [on_round] sees every parameter just
+    before it is attempted — checkpoint writers hook in here.  Both
+    [initial] and [on_cex] apply only to attempts at the task's own [md]:
+    a [Max_distance] attempt above it neither replays nor reports any. *)
 val run :
   ?timeout:float ->
   ?weights:int array ->

@@ -26,5 +26,5 @@ let synthesize ?timeout ~data_len ~check_len ~distinguish () =
   | r -> r
 
 let minimize_check_len ?timeout ~data_len ~distinguish ~check_lo ~check_hi () =
-  Optimize.minimize_check_len ?timeout ~data_len ~md:(target_md distinguish)
-    ~check_lo ~check_hi ()
+  Driver.run ?timeout
+    (Driver.min_check_len ~data_len ~md:(target_md distinguish) ~check_lo ~check_hi)

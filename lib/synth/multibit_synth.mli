@@ -24,8 +24,8 @@ val synthesize :
 
 (** [minimize_check_len ?timeout ~data_len ~distinguish ~check_lo ~check_hi ()]
     walks check lengths upward to the first synthesizable one — answering
-    §6's question of how few check bits suffice — with the outcome of
-    {!Optimize.minimize_check_len}. *)
+    §6's question of how few check bits suffice — as the
+    {!Driver.min_check_len} task. *)
 val minimize_check_len :
   ?timeout:float ->
   data_len:int ->
@@ -33,4 +33,4 @@ val minimize_check_len :
   check_lo:int ->
   check_hi:int ->
   unit ->
-  (Optimize.check_result, Report.Stats.t) Report.outcome
+  Driver.outcome

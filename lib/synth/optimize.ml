@@ -67,20 +67,3 @@ let walk ?(interrupt = fun () -> false) ?(on_round = ignore) ?(steps = true)
     end
   in
   go start [] Report.Stats.zero
-
-let minimize_check_len ?(timeout = 120.0) ?cex_mode ?verifier ?encoding
-    ?interrupt ~data_len ~md ~check_lo ~check_hi () =
-  let w =
-    walk ?interrupt
-      ~deadline:(Unix.gettimeofday () +. timeout)
-      ~objective:(Check_len check_hi) ~start:check_lo
-      (fun ~timeout c ->
-        Cegis.synthesize ~timeout ?cex_mode ?verifier ?encoding ?interrupt
-          { Cegis.data_len; check_len = c; min_distance = md; extra = [] })
-  in
-  match (w.found, w.ending) with
-  | { bound; generator; _ } :: _, _ ->
-      Report.Synthesized ({ code = generator; check_len = bound }, w.totals)
-  | [], Boundary -> Report.Unsat_config w.totals
-  | [], Cut (Some (check_len, code)) -> Report.Partial ({ code; check_len }, w.totals)
-  | [], Cut None -> Report.Timed_out w.totals

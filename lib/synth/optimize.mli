@@ -1,8 +1,8 @@
 (** Optimization drivers implementing the paper's [minimal]/[maximal]
     pseudo-properties (the outer loop of Algorithm 1). *)
 
-(** Result of minimizing the number of check bits for a target minimum
-    distance (the §4.2 / Table 1 experiment). *)
+(** The optimize job's answer: the generator at the minimal check length
+    for a target minimum distance (the §4.2 / Table 1 experiment). *)
 type check_result = { code : Hamming.Code.t; check_len : int }
 
 (** What a walk optimizes: the order it tries parameters in, and where
@@ -59,23 +59,3 @@ val walk :
   start:int ->
   (timeout:float -> int -> (Hamming.Code.t, Report.Stats.t) Report.outcome) ->
   walk
-
-(** [minimize_check_len ?timeout ... ~data_len ~md ~check_lo ~check_hi ()]
-    is a [Check_len] {!walk} over plain CEGIS attempts for distance [md],
-    within [timeout] seconds (default 120) for the whole walk:
-    [Synthesized] at the minimal length, [Unsat_config] when every length
-    up to [check_hi] is refuted, [Timed_out] when cut with nothing to
-    show, and [Partial] when cut at a length whose attempt saw a
-    near-miss candidate (its distance {e not} verified). *)
-val minimize_check_len :
-  ?timeout:float ->
-  ?cex_mode:Cegis.cex_mode ->
-  ?verifier:Cegis.verifier_mode ->
-  ?encoding:Smtlite.Card.encoding ->
-  ?interrupt:(unit -> bool) ->
-  data_len:int ->
-  md:int ->
-  check_lo:int ->
-  check_hi:int ->
-  unit ->
-  (check_result, Report.Stats.t) Report.outcome

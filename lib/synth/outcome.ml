@@ -22,6 +22,10 @@ type outcome =
       check_len : int option;
           (** the length a [minimal(len_c)] walk stopped at; [None] for a
               task without an objective *)
+      verified : bool;
+          (** [code] is the best generator a set-bit or [maximal(md)]
+              walk verified before it was cut; otherwise it is the cut
+              attempt's near-miss candidate *)
       stats : Report.Stats.t;
     }
       (** anytime result: the budget (deadline, interrupt) cut the job

@@ -323,10 +323,10 @@ let test_interrupt_at_any_poll_boundary () =
 
 let test_optimize_zero_timeout_returns_cleanly () =
   match
-    Synth.Optimize.minimize_check_len ~timeout:0.0 ~data_len:4 ~md:3
-      ~check_lo:2 ~check_hi:5 ()
+    Synth.Driver.run ~timeout:0.0
+      (Synth.Driver.min_check_len ~data_len:4 ~md:3 ~check_lo:2 ~check_hi:5)
   with
-  | Synth.Report.Timed_out _ | Synth.Report.Partial _ -> ()
+  | Synth.Driver.Timeout _ | Synth.Driver.Partial _ -> ()
   | _ -> Alcotest.fail "zero budget walk must yield Timed_out/Partial"
 
 let test_portfolio_immediate_interrupt () =

@@ -394,7 +394,9 @@ let test_answer_table () =
       elapsed = 0.1;
     }
   in
-  let partial check_len = Session.Partial { code; achieved = 2; check_len; stats } in
+  let partial ?(verified = false) check_len =
+    Session.Partial { code; achieved = 2; check_len; verified; stats }
+  in
   let has k j = J.member k j <> None in
   List.iter
     (fun (label, outcome, json_name, (quiet_name, quiet_code), (intr_name, intr_code), check) ->
@@ -440,6 +442,10 @@ let test_answer_table () =
         fun l j -> Alcotest.(check (option int)) (l ^ ": check_len") (Some 4) (Option.bind (J.member "check_len" j) J.to_int) );
       ( "partial", partial None, "partial", ("partial", 5), ("interrupted", 130),
         fun l j -> Alcotest.(check bool) (l ^ ": no check_len") false (has "check_len" j) );
+      ( "partial candidate", partial None, "partial", ("partial", 5), ("interrupted", 130),
+        fun l j -> Alcotest.(check bool) (l ^ ": not verified") true (J.member "verified" j = Some (J.Bool false)) );
+      ( "partial walk", partial ~verified:true None, "partial", ("partial", 5), ("interrupted", 130),
+        fun l j -> Alcotest.(check bool) (l ^ ": verified") true (J.member "verified" j = Some (J.Bool true)) );
       ( "unsat with stats", Session.Unsat { reason = "r"; stats = Some stats }, "unsat", ("unsat", 3), ("unsat", 3),
         fun l j -> Alcotest.(check bool) (l ^ ": reason and stats") true (has "reason" j && has "stats" j) );
       ( "unsat", Session.Unsat { reason = "r"; stats = None }, "unsat", ("unsat", 3), ("unsat", 3),

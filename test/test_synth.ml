@@ -255,33 +255,31 @@ let test_pins_keep_order_off () =
 
 (* ---------- optimization: minimal check length (Table 1) ---------- *)
 
+(* the plain Table 1 walk at 4 data bits *)
+let min_check_len ~timeout ~md ~check_lo ~check_hi =
+  Driver.run ~timeout (Driver.min_check_len ~data_len:4 ~md ~check_lo ~check_hi)
+
 let test_minimize_check_len_md3 () =
-  match
-    Optimize.minimize_check_len ~timeout:60.0 ~data_len:4 ~md:3 ~check_lo:2 ~check_hi:14 ()
-  with
-  | Report.Synthesized (r, _) ->
-      Alcotest.(check int) "minimal check bits for md 3" 3 r.Optimize.check_len;
-      Alcotest.(check int) "generator md" 3 (md r.Optimize.code)
+  match min_check_len ~timeout:60.0 ~md:3 ~check_lo:2 ~check_hi:14 with
+  | Driver.Codes ([ code ], _) ->
+      Alcotest.(check int) "minimal check bits for md 3" 3 (Hamming.Code.check_len code);
+      Alcotest.(check int) "generator md" 3 (md code)
   | _ -> Alcotest.fail "expected a generator"
 
 let test_minimize_check_len_md2 () =
-  match
-    Optimize.minimize_check_len ~timeout:60.0 ~data_len:4 ~md:2 ~check_lo:2 ~check_hi:14 ()
-  with
-  | Report.Synthesized (r, _) ->
-      Alcotest.(check int) "Table 1 row md=2" 2 r.Optimize.check_len
+  match min_check_len ~timeout:60.0 ~md:2 ~check_lo:2 ~check_hi:14 with
+  | Driver.Codes ([ code ], _) ->
+      Alcotest.(check int) "Table 1 row md=2" 2 (Hamming.Code.check_len code)
   | _ -> Alcotest.fail "expected a generator"
 
 let test_minimize_check_len_md4 () =
-  match
-    Optimize.minimize_check_len ~timeout:120.0 ~data_len:4 ~md:4 ~check_lo:2 ~check_hi:14 ()
-  with
-  | Report.Synthesized (r, _) ->
+  match min_check_len ~timeout:120.0 ~md:4 ~check_lo:2 ~check_hi:14 with
+  | Driver.Codes ([ code ], _) ->
       (* the paper's Table 1 reports 5 check bits for md 4, but the extended
          Hamming (8,4) code achieves md 4 with only 4 — our minimizer finds
          the true optimum *)
-      Alcotest.(check int) "md=4 true optimum" 4 r.Optimize.check_len;
-      Alcotest.(check int) "exact md" 4 (md r.Optimize.code)
+      Alcotest.(check int) "md=4 true optimum" 4 (Hamming.Code.check_len code);
+      Alcotest.(check int) "exact md" 4 (md code)
   | _ -> Alcotest.fail "expected a generator"
 
 (* Griesmer bound: a linear [n, k, d] code has n >= sum_(i<k) ceil(d / 2^i) *)
@@ -293,15 +291,12 @@ let griesmer ~k ~d =
 let test_table1_minimality () =
   List.iter
     (fun (m, expected) ->
-      match
-        Optimize.minimize_check_len ~timeout:60.0 ~data_len:4 ~md:m ~check_lo:1
-          ~check_hi:16 ()
-      with
-      | Report.Synthesized (r, _) ->
-          let c = r.Optimize.check_len in
+      match min_check_len ~timeout:60.0 ~md:m ~check_lo:1 ~check_hi:16 with
+      | Driver.Codes ([ code ], _) ->
+          let c = Hamming.Code.check_len code in
           Alcotest.(check int) (Printf.sprintf "md %d minimal check bits" m) expected c;
           Alcotest.(check bool) (Printf.sprintf "md %d generator md" m) true
-            (md r.Optimize.code >= m);
+            (md code >= m);
           Alcotest.(check bool) (Printf.sprintf "md %d meets Griesmer" m) true
             (4 + c >= griesmer ~k:4 ~d:m)
       | _ -> Alcotest.failf "md %d: expected a generator" m)
@@ -538,8 +533,8 @@ let test_multibit_beats_manual_construction () =
     Multibit_synth.minimize_check_len ~timeout:120.0 ~data_len:4 ~distinguish:2
       ~check_lo:2 ~check_hi:14 ()
   with
-  | Report.Synthesized ({ Optimize.code; check_len = checks }, _) ->
-      Alcotest.(check int) "minimal check bits" 7 checks;
+  | Driver.Codes ([ code ], _) ->
+      Alcotest.(check int) "minimal check bits" 7 (Hamming.Code.check_len code);
       Alcotest.(check bool) "2-bit correction works" true
         (let w = Hamming.Code.encode code (Gf2.Bitvec.of_string "1010") in
          let w' = Gf2.Bitvec.copy w in
@@ -822,26 +817,53 @@ let test_interrupted_walk_is_partial () =
          (Spec.Parse.prop
             "len_d(G[0]) = 4 && len_c(G[0]) = 7 && md(G[0]) >= 2 && maximal(md(G[0]))"))
   with
-  | Driver.Partial { achieved; _ } as outcome ->
-      Alcotest.(check bool) "keeps the verified base distance" true (achieved >= 2);
+  | Driver.Partial { achieved; verified; _ } as outcome ->
+      Alcotest.(check bool) "keeps the verified base distance" true (achieved >= 2 && verified);
       Alcotest.(check (pair string int)) "settles as interrupted" ("interrupted", 130)
         (Fec_session.Session.verdict outcome ~interrupted:true)
   | _ -> Alcotest.fail "an interrupted walk must not claim its optimum"
 
 let test_walk_shares_the_job_budget () =
-  (* c = 9 alone takes most of the budget; c = 10 gets only what is left *)
-  let t0 = Unix.gettimeofday () in
-  let outcome =
-    Driver.run ~timeout:1.0
-      (task_of
-         (Spec.Parse.prop
-            "len_d(G[0]) = 14 && len_c(G[0]) <= 16 && md(G[0]) = 7 && minimal(len_c(G[0]))"))
+  (* c = 9 spends at least 0.6 s of a 1 s budget; c = 10 gets at most
+     what is left, so the job cannot outlast its budget by a fresh one *)
+  let given = ref [] in
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  let w =
+    Optimize.walk ~deadline ~objective:(Optimize.Check_len 10) ~start:9
+      (fun ~timeout c ->
+        given := (c, timeout) :: !given;
+        if c = 9 then begin
+          let until = Unix.gettimeofday () +. 0.6 in
+          while Unix.gettimeofday () < until do Unix.sleepf 0.01 done;
+          Report.Unsat_config Report.Stats.zero
+        end
+        else Report.Timed_out Report.Stats.zero)
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) (Printf.sprintf "returned after %.2f s" wall) true (wall <= 1.3);
-  match outcome with
-  | Driver.Unsat _ -> Alcotest.fail "a cut walk must not answer unsat"
-  | _ -> ()
+  (match List.assoc_opt 10 !given with
+  | Some left ->
+      Alcotest.(check bool) (Printf.sprintf "c = 10 got %.3f s" left) true (left <= 0.4)
+  | None -> Alcotest.fail "the walk stopped before c = 10");
+  match w.Optimize.ending with
+  | Optimize.Cut None -> ()
+  | _ -> Alcotest.fail "a walk cut by its budget must say so"
+
+let test_maximal_md_learns_at_its_own_md () =
+  (* a candidate the whole-candidate worker (w6) blocks at a distance
+     above the task's may still meet the task's md, so a pool stored
+     under that md must not receive it.  Every generator meets md 1: the
+     attempt at md 1 refutes nothing, and whatever reaches [on_cex] came
+     from an attempt above it *)
+  let learned = Atomic.make 0 in
+  (match
+     Driver.run ~timeout:60.0 ~jobs:7
+       ~on_cex:(fun _ -> Atomic.incr learned)
+       (task_of
+          (Spec.Parse.prop
+             "len_d(G[0]) = 4 && len_c(G[0]) = 7 && md(G[0]) >= 1 && maximal(md(G[0]))"))
+   with
+  | Driver.Codes ([ code ], _) -> Alcotest.(check int) "(11,4) reaches md 5" 5 (md code)
+  | _ -> Alcotest.fail "expected the maximal distance");
+  Alcotest.(check int) "counterexamples learned above md 1" 0 (Atomic.get learned)
 
 let test_weighted_codes_meet_their_shapes () =
   let weights = [| 50; 40; 30; 20; 10; 5; 2; 1 |] in
@@ -958,6 +980,8 @@ let () =
             test_interrupted_walk_is_partial;
           Alcotest.test_case "attempts share the job budget" `Quick
             test_walk_shares_the_job_budget;
+          Alcotest.test_case "maximal(md) learns at its own md" `Quick
+            test_maximal_md_learns_at_its_own_md;
           Alcotest.test_case "weighted codes meet their shapes" `Quick
             test_weighted_codes_meet_their_shapes;
         ] );
