@@ -786,8 +786,7 @@ let verify_cmd =
     let doc = "Distance-checking method: sat (the paper's) or enum." in
     Arg.(value & opt (enum [ ("sat", `Sat); ("enum", `Enum) ]) `Sat & info [ "method" ] ~doc)
   in
-  let run code_spec prop_spec method_ timeout trace no_ledger fmt =
-    ignore timeout;
+  let run code_spec prop_spec method_ trace no_ledger fmt =
     Output.ledger_start ~no_ledger ~subcommand:"verify"
       ~problem:(code_spec ^ " |= " ^ prop_spec)
       ~config:
@@ -828,8 +827,8 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc)
     Term.(
       ret
-        (const run $ code_arg $ prop_arg $ method_arg $ timeout_arg
-       $ Output.trace_arg $ Output.no_ledger_arg $ Output.stats_arg))
+        (const run $ code_arg $ prop_arg $ method_arg $ Output.trace_arg
+       $ Output.no_ledger_arg $ Output.stats_arg))
 
 (* ---------- distance ---------- *)
 
@@ -2014,13 +2013,9 @@ let runs_html_cmd =
                     ("bytes", J.Int (String.length html));
                   ])
             else begin
-              (* a whole-file artifact: tmp+rename so a reader never sees
-                 a torn dashboard *)
-              let tmp = out ^ ".tmp" in
-              let oc = open_out tmp in
-              output_string oc html;
-              close_out oc;
-              Sys.rename tmp out;
+              (* a whole-file artifact: a reader never sees a torn
+                 dashboard *)
+              Durable.write out html;
               Output.result fmt
                 ~text:(fun () ->
                   Printf.printf "wrote %s (%d runs, %d bytes)\n" out n

@@ -1,9 +1,9 @@
 (** Persistent content-addressed result cache.
 
     Proven synthesis results are stored one file per canonical key digest
-    ([<dir>/<md5>.entry]), each a small versioned text envelope guarded by
-    a CRC-32 trailer and written with the tmp+rename discipline — a reader
-    never sees a torn entry, and a bit-flipped one fails the CRC and is
+    ([<dir>/<md5>.entry]), each one JSON object in a {!Durable} sealed
+    envelope written by {!Durable.write} (DESIGN.md, "Durable files") — a
+    reader never sees a torn entry, and a truncated or bit-flipped one is
     treated as a miss (then recomputed and overwritten), never trusted.
 
     Every entry embeds the full canonical key string; {!lookup} compares
@@ -53,9 +53,10 @@ val lookup : dir:string -> digest:string -> key:string -> entry option
     A crash (or an injected ["cache.write"] torn write) between temp-file
     write and rename leaves an orphaned [*.tmp.<pid>] file; the
     destination entry is never affected.  [scavenge] sweeps orphans whose
-    writing pid is dead — live pids mark writes in flight and are left
-    alone — and bumps the [session.cache_scavenged] metric.  Returns the
-    number removed; a missing directory sweeps nothing. *)
+    writing pid is dead ({!Durable.sweep}) — live pids mark writes in
+    flight and are left alone — and bumps the [session.cache_scavenged]
+    metric.  Returns the number removed; a missing directory sweeps
+    nothing. *)
 
 val scavenge : dir:string -> int
 

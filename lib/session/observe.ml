@@ -13,13 +13,7 @@ let with_observability ?(trace = None) ?(metrics = None) ?(progress = false) f =
       sinks := Telemetry.Sink.ndjson oc :: !sinks
   | None -> ());
   (match metrics with
-  | Some path ->
-      let write text =
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc
-      in
-      sinks := Telemetry.Metrics.flush_sink write :: !sinks
+  | Some path -> sinks := Telemetry.Metrics.flush_sink (Durable.write path) :: !sinks
   | None -> ());
   if progress && (Unix.isatty Unix.stderr || force_tty ()) then begin
     let write s =

@@ -85,12 +85,6 @@ type state = {
 
 let log fmt = Printf.eprintf ("fecsynth serve: " ^^ fmt ^^ "\n%!")
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* A dead client is dropped silently — its sessions keep running and
    their results stay queryable by id from any other connection. *)
 let drop_client st c =
@@ -638,7 +632,7 @@ let write_pidfile config =
 
 let run config =
   Synth.Fault.init_from_env ();
-  mkdir_p (Filename.dirname config.socket);
+  Durable.mkdir_p (Filename.dirname config.socket);
   take_over_socket config;
   scavenge_state config;
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -783,13 +777,7 @@ let run config =
     @
     match config.metrics with
     | None -> []
-    | Some path ->
-        let write text =
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc
-        in
-        [ Telemetry.Metrics.flush_sink write ]
+    | Some path -> [ Telemetry.Metrics.flush_sink (Durable.write path) ]
   in
   Fun.protect
     ~finally:(fun () ->

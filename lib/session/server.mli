@@ -21,7 +21,9 @@
       probed with a ping and taken over iff dead, orphaned cache temp
       files are swept, the ledger's torn tail is repaired and its
       in-flight journal becomes ["crash"] records; a [<socket>.pid]
-      pidfile is maintained for operators.
+      pidfile is maintained for operators.  The sweeps and the metrics
+      file follow the durable-file rules of {!Durable} (DESIGN.md,
+      "Durable files").
 
     Shutdown is a drain: SIGTERM, SIGINT or a [shutdown] request stop
     admission, let in-flight sessions finish (answering their waiters),
@@ -48,8 +50,9 @@ type config = {
   no_ledger : bool;
   ledger_dir : string option;
   metrics : string option;
-      (** Prometheus exposition file, refreshed for the daemon's whole
-          lifetime (covers [session.cache_*], [serve.queue_depth] and
+      (** Prometheus exposition file, rewritten whole ({!Durable.write})
+          about once a second for the daemon's whole lifetime (covers
+          [session.cache_*], [serve.queue_depth] and
           [serve.worker_reaped]) *)
   metrics_port : int option;
       (** when set, an HTTP listener on [127.0.0.1:port] served from the

@@ -89,8 +89,12 @@ let verdict outcome ~interrupted =
 (* The stats an outcome carries, into the ledger record and the answer
    object; a set-bits walk's are summed over its steps. *)
 let outcome_stats = function
-  | Codes (_, s) | Optimized (_, s) | Partial { stats = s; _ } -> Some s
-  | Unsat { stats; _ } | Timeout { stats; _ } -> stats
+  | Codes (_, s)
+  | Optimized (_, s)
+  | Partial { stats = s; _ }
+  | Unsat { stats = s; _ }
+  | Timeout { stats = s; _ } ->
+      Some s
   | Setbits steps ->
       Some (Report.Stats.sum (List.map (fun s -> s.Synth.Optimize.step_stats) steps))
   | Weighted _ -> None

@@ -5,20 +5,9 @@
    configuration can re-encode them), the best-so-far generator with its
    verified bound, the optimization bound in force, and the iteration count
    of the interrupted run (so a resumed run can demonstrate it started
-   warm).
-
-   The format is versioned line-oriented text ending in
-
-     end
-     crc <8 hex digits>
-
-   where the CRC-32 covers every byte up to and including the "end" line.
-   Writes go to a temporary file in the same directory followed by an
-   atomic rename, so a crash mid-write leaves either the previous complete
-   checkpoint or a temp file that is never read — and if a partial file
-   does appear (copy truncation, disk full), the CRC refuses it.  Corrupt
-   or version-mismatched checkpoints are reported as errors, never
-   trusted. *)
+   warm).  This module holds only the line-record payload; the file is a
+   {!Durable} sealed envelope written by {!Durable.write} (DESIGN.md,
+   "Durable files"). *)
 
 let version = 1
 
@@ -46,9 +35,10 @@ let error_to_string = function
 let code_to_line code =
   String.map (fun c -> if c = '\n' then ';' else c) (Hamming.Code.to_string code)
 
+let magic = "fecsynth-checkpoint"
+
 let render t =
   let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "fecsynth-checkpoint %d\n" version);
   Buffer.add_string b
     (Printf.sprintf "problem %d %d %d\n" t.data_len t.check_len t.min_distance);
   Buffer.add_string b (Printf.sprintf "iterations %d\n" t.iterations);
@@ -70,160 +60,102 @@ let render t =
           Buffer.add_string b (Printf.sprintf "cex c %s\n" (code_to_line code)))
     t.cexes;
   Buffer.add_string b "end\n";
-  let body = Buffer.contents b in
-  let crc = Zip.Crc32.digest body in
-  body ^ Printf.sprintf "crc %08lX\n" crc
+  Durable.seal ~magic ~version (Buffer.contents b)
 
-let save ~path t =
-  let text = render t in
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc text;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+let save ~path t = Durable.write path (render t)
 
 exception Bad of string
 
+let parse records =
+  let ints ~what n parts =
+    let fail () = raise (Bad (Printf.sprintf "unreadable %s record" what)) in
+    if List.length parts <> n then fail ()
+    else
+      List.map
+        (fun p -> match int_of_string_opt p with Some v -> v | None -> fail ())
+        parts
+  in
+  let parse_code ~what s =
+    match Hamming.Code.of_string s with
+    | code -> code
+    | exception _ -> raise (Bad (Printf.sprintf "unreadable %s generator" what))
+  in
+  let problem = ref None in
+  let iterations = ref 0 in
+  let opt_bound = ref None in
+  let best = ref None in
+  let cexes = ref [] in
+  let seen_end = ref false in
+  List.iter
+    (fun line ->
+      if !seen_end then raise (Bad "records after end");
+      match String.split_on_char ' ' line with
+      | "problem" :: parts -> (
+          match ints ~what:"problem" 3 parts with
+          | [ d; c; m ] when d >= 1 && c >= 1 && m >= 1 ->
+              problem := Some (d, c, m)
+          | _ -> raise (Bad "unreadable problem record"))
+      | "iterations" :: parts -> (
+          match ints ~what:"iterations" 1 parts with
+          | [ n ] when n >= 0 -> iterations := n
+          | _ -> raise (Bad "unreadable iterations record"))
+      | "bound" :: parts -> (
+          match ints ~what:"bound" 1 parts with
+          | [ n ] -> opt_bound := Some n
+          | _ -> raise (Bad "unreadable bound record"))
+      | [ "best"; bound; code ] -> (
+          match int_of_string_opt bound with
+          | Some b -> best := Some (parse_code ~what:"best" code, b)
+          | None -> raise (Bad "unreadable best record"))
+      | [ "cex"; "d"; bits ] -> (
+          match Gf2.Bitvec.of_string bits with
+          | d -> cexes := Cegis.Cex_data d :: !cexes
+          | exception _ -> raise (Bad "unreadable data witness"))
+      | [ "cex"; "c"; code ] ->
+          cexes := Cegis.Cex_candidate (parse_code ~what:"cex" code) :: !cexes
+      | [ "end" ] -> seen_end := true
+      | _ -> raise (Bad ("unknown record: " ^ line)))
+    (List.filter (fun l -> l <> "") (String.split_on_char '\n' records));
+  if not !seen_end then raise (Bad "missing end record (truncated?)");
+  let data_len, check_len, min_distance =
+    match !problem with
+    | Some p -> p
+    | None -> raise (Bad "missing problem record")
+  in
+  (* reject witnesses that do not fit the declared problem: learning
+     them would index out of the coefficient matrix *)
+  List.iter
+    (fun cex ->
+      match cex with
+      | Cegis.Cex_data d ->
+          if Gf2.Bitvec.length d <> data_len then
+            raise (Bad "data witness length mismatch")
+      | Cegis.Cex_candidate code ->
+          if
+            Hamming.Code.data_len code <> data_len
+            || Hamming.Code.check_len code <> check_len
+          then raise (Bad "candidate shape mismatch"))
+    !cexes;
+  {
+    data_len;
+    check_len;
+    min_distance;
+    iterations = !iterations;
+    opt_bound = !opt_bound;
+    best = !best;
+    cexes = List.rev !cexes;
+  }
+
 let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Durable.read path with
   | exception Sys_error msg -> Error (Io msg)
   | text -> (
-      try
-        let lines = String.split_on_char '\n' text in
-        let lines = List.filter (fun l -> l <> "") lines in
-        (* split off the trailing "crc" line; everything before it (plus
-           the newline that terminated the "end" line) is CRC-covered *)
-        let rec split_crc acc = function
-          | [ crc_line ] -> (List.rev acc, crc_line)
-          | l :: rest -> split_crc (l :: acc) rest
-          | [] -> raise (Bad "empty file")
-        in
-        let body_lines, crc_line = split_crc [] lines in
-        let expected_crc =
-          match String.split_on_char ' ' crc_line with
-          | [ "crc"; hex ] -> (
-              match Int32.of_string_opt ("0x" ^ hex) with
-              | Some v -> v
-              | None -> raise (Bad "unreadable crc"))
-          | _ -> raise (Bad "missing crc trailer (truncated?)")
-        in
-        let body = String.concat "\n" body_lines ^ "\n" in
-        if Zip.Crc32.digest body <> expected_crc then
-          raise (Bad "crc mismatch");
-        let ints ~what n parts =
-          let fail () =
-            raise (Bad (Printf.sprintf "unreadable %s record" what))
-          in
-          if List.length parts <> n then fail ()
-          else
-            List.map
-              (fun p -> match int_of_string_opt p with
-                | Some v -> v
-                | None -> fail ())
-              parts
-        in
-        let parse_code ~what s =
-          match Hamming.Code.of_string s with
-          | code -> code
-          | exception _ ->
-              raise (Bad (Printf.sprintf "unreadable %s generator" what))
-        in
-        let header, records =
-          match body_lines with
-          | header :: rest -> (header, rest)
-          | [] -> raise (Bad "empty checkpoint")
-        in
-        (match String.split_on_char ' ' header with
-        | [ "fecsynth-checkpoint"; v ] -> (
-            match int_of_string_opt v with
-            | Some v when v = version -> ()
-            | Some v -> raise (Bad (Printf.sprintf "version:%d" v))
-            | None -> raise (Bad "unreadable version"))
-        | _ -> raise (Bad "not a fecsynth checkpoint"));
-        let problem = ref None in
-        let iterations = ref 0 in
-        let opt_bound = ref None in
-        let best = ref None in
-        let cexes = ref [] in
-        let seen_end = ref false in
-        List.iter
-          (fun line ->
-            if !seen_end then raise (Bad "records after end");
-            match String.split_on_char ' ' line with
-            | "problem" :: parts ->
-                (match ints ~what:"problem" 3 parts with
-                | [ d; c; m ] when d >= 1 && c >= 1 && m >= 1 ->
-                    problem := Some (d, c, m)
-                | _ -> raise (Bad "unreadable problem record"))
-            | "iterations" :: parts -> (
-                match ints ~what:"iterations" 1 parts with
-                | [ n ] when n >= 0 -> iterations := n
-                | _ -> raise (Bad "unreadable iterations record"))
-            | "bound" :: parts -> (
-                match ints ~what:"bound" 1 parts with
-                | [ n ] -> opt_bound := Some n
-                | _ -> raise (Bad "unreadable bound record"))
-            | [ "best"; bound; code ] -> (
-                match int_of_string_opt bound with
-                | Some b -> best := Some (parse_code ~what:"best" code, b)
-                | None -> raise (Bad "unreadable best record"))
-            | [ "cex"; "d"; bits ] -> (
-                match Gf2.Bitvec.of_string bits with
-                | d -> cexes := Cegis.Cex_data d :: !cexes
-                | exception _ -> raise (Bad "unreadable data witness"))
-            | [ "cex"; "c"; code ] ->
-                cexes := Cegis.Cex_candidate (parse_code ~what:"cex" code) :: !cexes
-            | [ "end" ] -> seen_end := true
-            | _ -> raise (Bad ("unknown record: " ^ line)))
-          records;
-        if not !seen_end then raise (Bad "missing end record (truncated?)");
-        let data_len, check_len, min_distance =
-          match !problem with
-          | Some p -> p
-          | None -> raise (Bad "missing problem record")
-        in
-        (* reject witnesses that do not fit the declared problem: learning
-           them would index out of the coefficient matrix *)
-        List.iter
-          (fun cex ->
-            match cex with
-            | Cegis.Cex_data d ->
-                if Gf2.Bitvec.length d <> data_len then
-                  raise (Bad "data witness length mismatch")
-            | Cegis.Cex_candidate code ->
-                if
-                  Hamming.Code.data_len code <> data_len
-                  || Hamming.Code.check_len code <> check_len
-                then raise (Bad "candidate shape mismatch"))
-          !cexes;
-        Ok
-          {
-            data_len;
-            check_len;
-            min_distance;
-            iterations = !iterations;
-            opt_bound = !opt_bound;
-            best = !best;
-            cexes = List.rev !cexes;
-          }
-      with Bad msg -> (
-        match String.index_opt msg ':' with
-        | Some i when String.sub msg 0 i = "version" ->
-            Error
-              (Version_mismatch
-                 (int_of_string
-                    (String.sub msg (i + 1) (String.length msg - i - 1))))
-        | _ -> Error (Corrupt msg)))
+      match Durable.unseal ~magic ~version text with
+      | Error Durable.Truncated -> Error (Corrupt "missing crc trailer (truncated?)")
+      | Error Durable.Bad_crc -> Error (Corrupt "crc mismatch")
+      | Error Durable.Wrong_magic -> Error (Corrupt "not a fecsynth checkpoint")
+      | Error (Durable.Version v) -> Error (Version_mismatch v)
+      | Ok records -> ( try Ok (parse records) with Bad msg -> Error (Corrupt msg)))
 
 let matches_problem t (p : Cegis.problem) =
   t.data_len = p.Cegis.data_len

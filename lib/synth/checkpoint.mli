@@ -6,11 +6,11 @@
     distance bound, the optimization bound in force, and the iteration
     count reached.
 
-    The format is versioned line-oriented text with a CRC-32 trailer.
-    {!save} writes to a temp file in the destination directory and then
-    atomically renames, so readers only ever see complete checkpoints; a
-    truncated or bit-flipped file fails the CRC and is reported as
-    {!Corrupt} — a damaged checkpoint is never silently trusted. *)
+    The payload is versioned line records in a {!Durable} sealed envelope,
+    written whole by {!Durable.write} (DESIGN.md, "Durable files"): readers
+    only ever see complete checkpoints, and a truncated or bit-flipped file
+    is reported as {!Corrupt} — a damaged checkpoint is never silently
+    trusted. *)
 
 (** Current on-disk format version. *)
 val version : int
@@ -34,7 +34,12 @@ type error =
 
 val error_to_string : error -> string
 
-(** [save ~path t] atomically writes [t] to [path] (temp file + rename). *)
+(** [code_to_line code] renders a generator on one line, rows joined with
+    [';'] ({!Hamming.Code.of_string} reads it back); the cache stores
+    generators the same way. *)
+val code_to_line : Hamming.Code.t -> string
+
+(** [save ~path t] writes [t] to [path] whole ({!Durable.write}). *)
 val save : path:string -> t -> unit
 
 (** [load ~path] reads and validates a checkpoint.  Validation covers the

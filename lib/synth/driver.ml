@@ -256,7 +256,7 @@ let walk_outcome ~cut_reason task (w : Optimize.walk) =
         | Max_distance _ -> "even the base distance is unsatisfiable"
         | _ -> "no check length in range admits the spec"
       in
-      Unsat { reason; stats = Some stats }
+      Unsat { reason; stats }
   | Optimize.Boundary, ({ generator; _ } :: _ as found) -> (
       match task with
       | Min_set_bits _ -> Setbits (List.rev found)
@@ -271,7 +271,7 @@ let walk_outcome ~cut_reason task (w : Optimize.walk) =
       match (found, near) with
       | { bound; generator; _ } :: _, _ -> partial ~verified:true bound generator
       | [], Some (param, code) -> partial ~verified:false param code
-      | [], None -> Timeout { reason = cut_reason (); stats = Some stats })
+      | [], None -> Timeout { reason = cut_reason (); stats })
 
 let min_check_len ~data_len ~md ~check_lo ~check_hi =
   Min_check_len { data_len; check_lo; check_hi; md; len1_max = None; fixed_bits = [] }
@@ -296,10 +296,10 @@ let run ?(timeout = 120.0) ?weights ?p ?jobs ?on_report
           Unsat
             {
               reason = "no split admits both generator shapes within the initial bound";
-              stats = Some stats;
+              stats;
             }
       | Report.Timed_out stats | Report.Partial (_, stats) ->
-          Timeout { reason = cut_reason (); stats = Some stats })
+          Timeout { reason = cut_reason (); stats })
   | Fixed s | Min_check_len s | Min_set_bits (s, _) | Max_distance s ->
       let fixed_len what =
         if s.check_lo <> s.check_hi then unsupported "%s needs a fixed len_c" what

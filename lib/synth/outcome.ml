@@ -32,7 +32,7 @@ type outcome =
           short.  [code] is the best generator a walk verified, or else
           the cut attempt's closest refuted candidate by refuting-witness
           weight (its distance is below the target) *)
-  | Unsat of { reason : string; stats : Report.Stats.t option }
+  | Unsat of { reason : string; stats : Report.Stats.t }
       (** proved unsatisfiable: no budget or interrupt cut the search *)
-  | Timeout of { reason : string; stats : Report.Stats.t option }
+  | Timeout of { reason : string; stats : Report.Stats.t }
       (** the budget expired with no candidate to report *)

@@ -162,13 +162,6 @@ let event_fields = function
   | Sink.Gauge { fields; _ }
   | Sink.Point { fields; _ } -> fields
 
-let event_ts = function
-  | Sink.Span_begin { ts; _ }
-  | Sink.Span_end { ts; _ }
-  | Sink.Counter { ts; _ }
-  | Sink.Gauge { ts; _ }
-  | Sink.Point { ts; _ } -> ts
-
 let check (p : parsed) =
   let counts : (string * string, int) Hashtbl.t = Hashtbl.create 32 in
   let open_spans : (int, unit) Hashtbl.t = Hashtbl.create 32 in
@@ -200,7 +193,7 @@ let check (p : parsed) =
           else incr unbalanced (* end without a begin *)
       | _ -> ());
       let stream = stream_of_fields (event_fields ev) in
-      let ts = event_ts ev in
+      let ts = Sink.event_ts ev in
       (match Hashtbl.find_opt last_ts stream with
       | Some prev when ts < prev -. reorder_slack -> incr out_of_order
       | _ -> ());
@@ -255,7 +248,7 @@ let slice ?request (p : parsed) =
 let time_bounds evs =
   List.fold_left
     (fun (lo, hi) ev ->
-      let ts = event_ts ev in
+      let ts = Sink.event_ts ev in
       (Float.min lo ts, Float.max hi ts))
     (infinity, neg_infinity) evs
 

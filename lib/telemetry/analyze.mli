@@ -20,8 +20,6 @@ type parsed = {
     newline-terminated line is real corruption: [Error "line N: ..."]. *)
 val of_string : string -> (parsed, string) result
 
-val event_ts : Sink.event -> float
-
 (** {1 Validation ([fecsynth trace check])} *)
 
 type check = {

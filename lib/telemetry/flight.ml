@@ -76,13 +76,6 @@ let record ev =
 
 let sink () = { Sink.emit = record; flush = (fun () -> ()) }
 
-let event_ts = function
-  | Sink.Span_begin { ts; _ }
-  | Sink.Span_end { ts; _ }
-  | Sink.Counter { ts; _ }
-  | Sink.Gauge { ts; _ }
-  | Sink.Point { ts; _ } -> ts
-
 let snapshot () =
   match Atomic.get state with
   | None -> []
@@ -95,10 +88,11 @@ let snapshot () =
           let start = written - n in
           List.init n (fun i -> r.slots.((start + i) mod t.capacity)))
         rings
-      |> List.sort (fun a b -> Float.compare (event_ts a) (event_ts b))
+      |> List.sort (fun a b -> Float.compare (Sink.event_ts a) (Sink.event_ts b))
 
-(* Postmortems are whole-file artifacts, so tmp+rename like the dashboard:
-   a reader never sees a half-written tail on top of a crash. *)
+(* Postmortems are whole-file artifacts, written by Durable.write like
+   the dashboard: a reader never sees a half-written tail on top of a
+   crash. *)
 let dump ?(fields = []) ~reason () =
   match Atomic.get state with
   | None -> None
@@ -115,7 +109,7 @@ let dump ?(fields = []) ~reason () =
           (Printf.sprintf "postmortem-%d-%d.ndjson" (Unix.getpid ()) seq)
       in
       let last_ts =
-        match List.rev events with [] -> State.now () | ev :: _ -> event_ts ev
+        match List.rev events with [] -> State.now () | ev :: _ -> Sink.event_ts ev
       in
       let trailer =
         (* stamped after every recorded event so the postmortem is a
@@ -129,15 +123,13 @@ let dump ?(fields = []) ~reason () =
             fields = ("reason", Sink.Str reason) :: fields;
           }
       in
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun ev ->
+          Buffer.add_string b (Json.to_string (Sink.json_of_event ev));
+          Buffer.add_char b '\n')
+        (events @ [ trailer ]);
       (try
-         let tmp = path ^ ".tmp" in
-         let oc = open_out tmp in
-         List.iter
-           (fun ev ->
-             output_string oc (Json.to_string (Sink.json_of_event ev));
-             output_char oc '\n')
-           (events @ [ trailer ]);
-         close_out oc;
-         Sys.rename tmp path;
+         Durable.write path (Buffer.contents b);
          Some path
        with Sys_error _ -> None)

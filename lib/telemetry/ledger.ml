@@ -174,15 +174,8 @@ let default_dir () =
 
 let file ~dir = Filename.concat dir "runs.ndjson"
 
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let append ~dir e =
-  mkdir_p dir;
+  Durable.mkdir_p dir;
   let line = render e ^ "\n" in
   let fd =
     Unix.openfile (file ~dir)
@@ -196,17 +189,11 @@ let append ~dir e =
       let n = Unix.write fd b 0 (Bytes.length b) in
       if n <> Bytes.length b then failwith "short ledger write")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load ~dir =
   let path = file ~dir in
   if not (Sys.file_exists path) then
     Ok { entries = []; truncated = false; skipped_future = 0 }
-  else of_string (read_file path)
+  else of_string (Durable.read path)
 
 (* A SIGKILL mid-append leaves the file without a final newline.  The
    reader tolerates that, but the *next* append would glue its record to
@@ -217,7 +204,7 @@ let repair_tail ~dir =
   let path = file ~dir in
   if not (Sys.file_exists path) then false
   else
-    match read_file path with
+    match Durable.read path with
     | exception Sys_error _ -> false
     | content ->
         let n = String.length content in
@@ -286,7 +273,7 @@ let journal p =
   if p.p_journal = None && not p.p_recorded then
     try
       let dir = journal_dir p.p_dir in
-      mkdir_p dir;
+      Durable.mkdir_p dir;
       let path =
         Filename.concat dir
           (Printf.sprintf "%d.%d" (Unix.getpid ())
@@ -305,51 +292,29 @@ let journal_finish p =
       p.p_journal <- None;
       (try Sys.remove path with Sys_error _ -> ())
 
-let pid_alive pid =
-  match Unix.kill pid 0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-  | exception Unix.Unix_error (_, _, _) ->
-      (* EPERM etc.: the pid exists but isn't ours *)
-      true
+(* a journal is named <pid>.<seq> *)
+let journal_owner name =
+  match String.index_opt name '.' with
+  | Some i -> int_of_string_opt (String.sub name 0 i)
+  | None -> None
 
 let scavenge ~dir =
   let repaired = repair_tail ~dir in
-  let jdir = journal_dir dir in
   let recovered = ref 0 in
-  (match Sys.readdir jdir with
-  | exception Sys_error _ -> ()
-  | names ->
-      Array.sort compare names;
-      Array.iter
-        (fun name ->
-          let path = Filename.concat jdir name in
-          let pid =
-            match String.index_opt name '.' with
-            | Some i -> int_of_string_opt (String.sub name 0 i)
-            | None -> None
-          in
-          match pid with
-          | None -> ()
-          | Some pid when pid_alive pid -> ()
-          | Some _ -> (
-              (* dead owner: its in-flight record becomes crash history;
-                 a torn journal (killed mid-journal-write) is just
-                 deleted — its run never got far enough to matter *)
-              match
-                String.trim (read_file path) |> fun line ->
-                of_json (Json.of_string line)
-              with
-              | exception (Sys_error _ | Json.Parse_error _) ->
-                  (try Sys.remove path with Sys_error _ -> ())
-              | Error _ -> (try Sys.remove path with Sys_error _ -> ())
-              | Ok e ->
-                  (try
-                     append ~dir e;
-                     incr recovered
-                   with _ -> ());
-                  (try Sys.remove path with Sys_error _ -> ())))
-        names);
+  (* a dead owner's in-flight record becomes crash history; a torn
+     journal (killed mid-journal-write) is just deleted — its run never
+     got far enough to matter *)
+  let salvage path =
+    match of_json (Json.of_string (String.trim (Durable.read path))) with
+    | exception (Sys_error _ | Json.Parse_error _) -> ()
+    | Error _ -> ()
+    | Ok e -> (
+        try
+          append ~dir e;
+          incr recovered
+        with _ -> ())
+  in
+  ignore (Durable.sweep ~salvage ~dir:(journal_dir dir) ~owner:journal_owner ());
   (!recovered, repaired)
 
 let start ?dir ?(journaled = true) ~ts ~subcommand ~problem ~config ~build () =

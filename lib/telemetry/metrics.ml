@@ -222,13 +222,6 @@ module Histogram = struct
   let snapshot h =
     Hist.make ~counts:(Array.copy h.counts) ~total:h.total ~sum:h.sum
       ~vmin:h.vmin ~vmax:h.vmax
-
-  let reset h =
-    Array.fill h.counts 0 (Array.length h.counts) 0;
-    h.total <- 0;
-    h.sum <- 0;
-    h.vmin <- max_int;
-    h.vmax <- min_int
 end
 
 (* ---------- metric names and series labels ----------
@@ -364,17 +357,6 @@ let dump () =
   Mutex.protect reg_mutex (fun () ->
       Hashtbl.fold (fun name (_, e) acc -> (name, sample_of e) :: acc) registry [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset () =
-  Mutex.protect reg_mutex (fun () ->
-      Hashtbl.iter
-        (fun _ (_, e) ->
-          match e with
-          | E_counter c -> Atomic.set c.c_value 0
-          | E_gauge g -> Atomic.set g.g_value 0.0
-          | E_histogram h ->
-              Mutex.protect h.h_mutex (fun () -> Histogram.reset h.h_acc))
-        registry)
 
 (* ---------- Prometheus text exposition ---------- *)
 

@@ -78,7 +78,6 @@ module Histogram : sig
   val create : unit -> t
   val observe : t -> int -> unit
   val snapshot : t -> Hist.t
-  val reset : t -> unit
 end
 
 (** {1 The named registry} *)
@@ -120,9 +119,6 @@ type sample = Counter of int | Gauge of float | Histogram of Hist.t
 
 (** All registered metrics with their current values, sorted by name. *)
 val dump : unit -> (string * sample) list
-
-(** Reset every registered metric to its zero (registrations persist). *)
-val reset : unit -> unit
 
 (** {1 Prometheus text exposition} *)
 

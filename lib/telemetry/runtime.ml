@@ -463,35 +463,18 @@ let sink () =
    directory (the env var's launch-time value, else the working
    directory) and the runtime unlinks it at clean teardown.  A killed
    process leaks its ~65MB ring, so before starting ours sweep
-   <pid>.events files whose owning pid is gone — the same scavenging
-   discipline the result cache applies to its tmp files.  EPERM (a
-   live pid we cannot signal) counts as alive; best-effort throughout. *)
+   <pid>.events files whose owning pid is gone — the same sweep the
+   result cache applies to its tmp files (Durable.sweep). *)
 let scavenge_stale_rings () =
   let dir =
     match Sys.getenv_opt "OCAML_RUNTIME_EVENTS_DIR" with
     | Some d when d <> "" -> d
     | _ -> Filename.current_dir_name
   in
-  match Sys.readdir dir with
-  | exception _ -> ()
-  | names ->
-      Array.iter
-        (fun name ->
-          match Filename.chop_suffix_opt ~suffix:".events" name with
-          | None -> ()
-          | Some stem -> (
-              match int_of_string_opt stem with
-              | Some pid when pid > 0 && pid <> Unix.getpid () ->
-                  let dead =
-                    match Unix.kill pid 0 with
-                    | () -> false
-                    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-                    | exception _ -> false
-                  in
-                  if dead then
-                    (try Sys.remove (Filename.concat dir name) with _ -> ())
-              | _ -> ()))
-        names
+  let owner name =
+    Option.bind (Filename.chop_suffix_opt ~suffix:".events" name) int_of_string_opt
+  in
+  ignore (Durable.sweep ~dir ~owner ())
 
 let start ?(min_interval = 0.25) ?(pause_threshold_us = 500) () =
   match Atomic.get state with

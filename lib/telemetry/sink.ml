@@ -30,6 +30,13 @@ let event_name = function
   | Gauge { name; _ }
   | Point { name; _ } -> name
 
+let event_ts = function
+  | Span_begin { ts; _ }
+  | Span_end { ts; _ }
+  | Counter { ts; _ }
+  | Gauge { ts; _ }
+  | Point { ts; _ } -> ts
+
 let json_of_value = function
   | Bool b -> Json.Bool b
   | Int n -> Json.Int n

@@ -43,6 +43,8 @@ val event_kind : event -> string
 
 val event_name : event -> string
 
+val event_ts : event -> float
+
 (** [json_of_event e] flattens the event into one JSON object:
     [ts]/[kind]/[name] plus the variant's own keys ([id], [parent], [dur],
     [value]) plus the custom fields. *)

@@ -258,6 +258,134 @@ let test_checkpoint_writer_accumulates () =
   Sys.remove path
 
 (* ---------------------------------------------------------------- *)
+(* durable files: both sealed formats refuse every damaged copy      *)
+(* ---------------------------------------------------------------- *)
+
+module Cache = Fec_session.Cache
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+(* every strict prefix and every single-bit flip of [text] *)
+let damaged text =
+  let n = String.length text in
+  let flip i =
+    let b = Bytes.of_string text in
+    Bytes.set b (i / 8) (Char.chr (Char.code text.[i / 8] lxor (1 lsl (i mod 8))));
+    Bytes.to_string b
+  in
+  List.init n (fun len -> String.sub text 0 len) @ List.init (8 * n) flip
+
+(* [text] is [seal body] for the body [unseal] finds in it *)
+let sealed ~magic text =
+  match Durable.unseal ~magic ~version:1 text with
+  | Ok body -> Durable.seal ~magic ~version:1 body = text
+  | Error _ -> false
+
+let arb_checkpoint =
+  QCheck.make
+    ~print:(fun t -> Printf.sprintf "%d cexes" (List.length t.Checkpoint.cexes))
+    QCheck.Gen.(
+      let cex =
+        frequency
+          [
+            ( 3,
+              map
+                (fun w -> Cegis.Cex_data (Gf2.Bitvec.of_string w))
+                (string_size ~gen:(oneofl [ '0'; '1' ]) (return 4)) );
+            (1, return (Cegis.Cex_candidate sample_code));
+          ]
+      in
+      map4
+        (fun iterations opt_bound best cexes ->
+          {
+            Checkpoint.data_len = 4;
+            check_len = 3;
+            min_distance = 3;
+            iterations;
+            opt_bound;
+            best = Option.map (fun b -> (sample_code, b)) best;
+            cexes;
+          })
+        (int_bound 100) (opt (int_bound 8)) (opt (int_range 1 3))
+        (list_size (int_bound 4) cex))
+
+let qcheck_checkpoint_refuses_damage =
+  QCheck.Test.make ~name:"sealed checkpoint: exact or refused" ~count:8
+    arb_checkpoint (fun t ->
+      let path = temp_path () in
+      Checkpoint.save ~path t;
+      let text = Durable.read path in
+      let refused copy =
+        write_file path copy;
+        match Checkpoint.load ~path with
+        | Error (Checkpoint.Corrupt _) -> true
+        | Ok _ | Error _ -> false
+      in
+      let ok = sealed ~magic:"fecsynth-checkpoint" text && List.for_all refused (damaged text) in
+      Sys.remove path;
+      ok)
+
+let arb_entry =
+  QCheck.make
+    ~print:(fun (e : Cache.entry) -> e.key)
+    QCheck.Gen.(
+      map3
+        (fun key iterations elapsed ->
+          {
+            Cache.key;
+            created = "2026-01-01T00:00:00Z";
+            code = sample_code;
+            check_len = 3;
+            md = 3;
+            verified_md = 3;
+            iterations;
+            elapsed;
+          })
+        (string_size ~gen:printable (int_bound 12))
+        (int_bound 1000) (float_bound_inclusive 10.0))
+
+let qcheck_cache_entry_refuses_damage =
+  QCheck.Test.make ~name:"sealed cache entry: exact or a miss" ~count:8 arb_entry
+    (fun (e : Cache.entry) ->
+      let dir = Filename.temp_file "fec-cache" "" in
+      Sys.remove dir;
+      let path = Filename.concat dir "d.entry" in
+      Cache.store ~dir ~digest:"d" e;
+      let text = Durable.read path in
+      let lookup copy =
+        write_file path copy;
+        Cache.lookup ~dir ~digest:"d" ~key:e.key
+      in
+      let ok =
+        sealed ~magic:"fecsynth-cache" text
+        && lookup text <> None
+        && List.for_all (fun copy -> lookup copy = None) (damaged text)
+      in
+      Sys.remove path;
+      Sys.rmdir dir;
+      ok)
+
+let test_metrics_file_whole () =
+  let dir = Filename.temp_file "fec-metrics" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "metrics.prom" in
+  let c = Telemetry.Metrics.counter "test.durable_metrics" in
+  Fec_session.Observe.with_observability ~metrics:(Some path) (fun () ->
+      Telemetry.Metrics.incr c 1;
+      Telemetry.point "test.durable_metrics");
+  Alcotest.(check (list string)) "no temp file beside it" [ "metrics.prom" ]
+    (Array.to_list (Sys.readdir dir));
+  (match Telemetry.Metrics.parse_exposition (Durable.read path) with
+  | Ok samples ->
+      Alcotest.(check bool) "counter exposed" true
+        (List.mem_assoc "test_durable_metrics" samples)
+  | Error msg -> Alcotest.fail msg);
+  Sys.remove path;
+  Sys.rmdir dir
+
+(* ---------------------------------------------------------------- *)
 (* budget edge cases: anytime results, no exceptions                 *)
 (* ---------------------------------------------------------------- *)
 
@@ -504,6 +632,13 @@ let () =
             test_checkpoint_matches_problem;
           Alcotest.test_case "writer accumulates" `Quick
             test_checkpoint_writer_accumulates;
+        ] );
+      ( "durable",
+        [
+          QCheck_alcotest.to_alcotest qcheck_checkpoint_refuses_damage;
+          QCheck_alcotest.to_alcotest qcheck_cache_entry_refuses_damage;
+          Alcotest.test_case "metrics file is rewritten whole" `Quick
+            test_metrics_file_whole;
         ] );
       ( "budget-edges",
         [

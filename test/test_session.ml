@@ -446,14 +446,10 @@ let test_answer_table () =
         fun l j -> Alcotest.(check bool) (l ^ ": not verified") true (J.member "verified" j = Some (J.Bool false)) );
       ( "partial walk", partial ~verified:true None, "partial", ("partial", 5), ("interrupted", 130),
         fun l j -> Alcotest.(check bool) (l ^ ": verified") true (J.member "verified" j = Some (J.Bool true)) );
-      ( "unsat with stats", Session.Unsat { reason = "r"; stats = Some stats }, "unsat", ("unsat", 3), ("unsat", 3),
+      ( "unsat with stats", Session.Unsat { reason = "r"; stats }, "unsat", ("unsat", 3), ("unsat", 3),
         fun l j -> Alcotest.(check bool) (l ^ ": reason and stats") true (has "reason" j && has "stats" j) );
-      ( "unsat", Session.Unsat { reason = "r"; stats = None }, "unsat", ("unsat", 3), ("unsat", 3),
-        fun l j -> Alcotest.(check bool) (l ^ ": no stats") false (has "stats" j) );
-      ( "timeout with stats", Session.Timeout { reason = "r"; stats = Some stats }, "timeout", ("timeout", 4), ("interrupted", 130),
+      ( "timeout with stats", Session.Timeout { reason = "r"; stats }, "timeout", ("timeout", 4), ("interrupted", 130),
         fun l j -> Alcotest.(check bool) (l ^ ": reason and stats") true (has "reason" j && has "stats" j) );
-      ( "timeout", Session.Timeout { reason = "r"; stats = None }, "timeout", ("timeout", 4), ("interrupted", 130),
-        fun l j -> Alcotest.(check bool) (l ^ ": no stats") false (has "stats" j) );
     ]
 
 let iterations_of r =
