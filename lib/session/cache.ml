@@ -46,14 +46,21 @@ let entry_of_json j =
   match (str "key", str "created", str "code") with
   | Some key, Some created, Some code_line -> (
       match
-        (int "check_len", int "md", int "verified_md", int "iterations")
+        ( int "check_len",
+          int "md",
+          int "verified_md",
+          int "iterations",
+          (* a sealed entry whose code is not a generator matrix is a
+             miss like any other malformed field *)
+          try Some (Hamming.Code.of_string code_line)
+          with Invalid_argument _ -> None )
       with
-      | Some check_len, Some md, Some verified_md, Some iterations ->
+      | Some check_len, Some md, Some verified_md, Some iterations, Some code ->
           Some
             {
               key;
               created;
-              code = Hamming.Code.of_string code_line;
+              code;
               check_len;
               md;
               verified_md;

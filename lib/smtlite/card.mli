@@ -20,6 +20,12 @@ type encoding =
     telemetry events. *)
 val encoding_name : encoding -> string
 
+(** [encode_point enc ~op ~n ~k] records one constraint construction: the
+    [card.encode] telemetry point and the [card.encodes]/[card.encode_n]
+    metrics.  Every bound below records itself; {!Ctx.at_least}, which
+    builds its clauses directly, calls it too. *)
+val encode_point : encoding -> op:string -> n:int -> k:int -> unit
+
 (** [counts ?cap enc es] is the unary count vector [o] with
     [o.(i)] true iff at least [i+1] of [es] are true.  With [~cap:c] only
     the first [c] outputs are produced (sufficient to express bounds up to

@@ -10,6 +10,7 @@ module Itbl = Hashtbl.Make (Int)
 type t = {
   solver : Sat.Solver.t;
   lit_cache : Sat.Lit.t Itbl.t; (* Expr uid -> defining literal *)
+  xor_cache : Sat.Lit.t Itbl.t; (* ordered literal pair -> defining literal *)
   var_map : int Itbl.t; (* Expr variable index -> solver var *)
   mutable true_lit : Sat.Lit.t option;
   mutable selectors : Sat.Lit.t list; (* innermost first *)
@@ -22,6 +23,7 @@ let create ?(proof = false) () =
   {
     solver;
     lit_cache = Itbl.create 4096;
+    xor_cache = Itbl.create 4096;
     var_map = Itbl.create 256;
     true_lit = None;
     selectors = [];
@@ -66,7 +68,7 @@ let define ctx lits = Sat.Solver.add_clause ctx.solver lits
 (* Tseitin translation with per-context memoization.  Negation reuses the
    child's literal; all other connectives get a defining variable with a
    full (both-polarity) encoding. *)
-let rec lit_of ctx e =
+let rec lit ctx e =
   match Itbl.find_opt ctx.lit_cache (Expr.id e) with
   | Some l -> l
   | None ->
@@ -74,21 +76,21 @@ let rec lit_of ctx e =
         match Expr.node e with
         | Expr.True -> true_lit ctx
         | Expr.Var i -> Sat.Lit.make (solver_var ctx i)
-        | Expr.Not x -> Sat.Lit.neg (lit_of ctx x)
+        | Expr.Not x -> Sat.Lit.neg (lit ctx x)
         | Expr.And es ->
-            let ls = List.map (lit_of ctx) es in
+            let ls = List.map (lit ctx) es in
             let y = fresh_lit ctx in
             List.iter (fun l -> define ctx [ Sat.Lit.neg y; l ]) ls;
             define ctx (y :: List.map Sat.Lit.neg ls);
             y
         | Expr.Or es ->
-            let ls = List.map (lit_of ctx) es in
+            let ls = List.map (lit ctx) es in
             let y = fresh_lit ctx in
             List.iter (fun l -> define ctx [ y; Sat.Lit.neg l ]) ls;
             define ctx (Sat.Lit.neg y :: ls);
             y
         | Expr.Xor (a, b) ->
-            let la = lit_of ctx a and lb = lit_of ctx b in
+            let la = lit ctx a and lb = lit ctx b in
             let y = fresh_lit ctx in
             let n = Sat.Lit.neg in
             define ctx [ n y; la; lb ];
@@ -97,7 +99,7 @@ let rec lit_of ctx e =
             define ctx [ y; n la; lb ];
             y
         | Expr.Ite (c, a, b) ->
-            let lc = lit_of ctx c and la = lit_of ctx a and lb = lit_of ctx b in
+            let lc = lit ctx c and la = lit ctx a and lb = lit ctx b in
             let y = fresh_lit ctx in
             let n = Sat.Lit.neg in
             define ctx [ n y; n lc; la ];
@@ -121,20 +123,70 @@ let pop ctx =
       Sat.Solver.add_clause ctx.solver [ Sat.Lit.neg s ];
       ctx.selectors <- rest
 
+(* A unit clause for [l], guarded by the innermost selector inside a
+   push. *)
+let assert_lit ctx l =
+  ctx.last_sat <- false;
+  let clause =
+    match ctx.selectors with [] -> [ l ] | s :: _ -> [ Sat.Lit.neg s; l ]
+  in
+  Sat.Solver.add_clause ctx.solver clause
+
 (* Assert an expression at the current level.  Top-level conjunctions are
    split; every other conjunct, a top-level disjunction included, gets its
-   Tseitin literal, asserted as a unit clause (guarded by the innermost
-   selector inside a push). *)
+   Tseitin literal, asserted as a unit clause. *)
 let rec assert_ ctx e =
-  ctx.last_sat <- false;
   match Expr.node e with
   | Expr.And es -> List.iter (assert_ ctx) es
-  | _ ->
-      let l = lit_of ctx e in
-      let clause =
-        match ctx.selectors with [] -> [ l ] | s :: _ -> [ Sat.Lit.neg s; l ]
-      in
-      Sat.Solver.add_clause ctx.solver clause
+  | _ -> assert_lit ctx (lit ctx e)
+
+(* The literal pair is ordered before the lookup, so [xor a b] and
+   [xor b a] share one defining literal.  Literal codes stay far below
+   2^31, so the packed key is exact. *)
+let xor ctx a b =
+  let a, b = if Sat.Lit.code a <= Sat.Lit.code b then (a, b) else (b, a) in
+  let key = (Sat.Lit.code a lsl 31) lor Sat.Lit.code b in
+  match Itbl.find_opt ctx.xor_cache key with
+  | Some y -> y
+  | None ->
+      let y = fresh_lit ctx in
+      let n = Sat.Lit.neg in
+      define ctx [ n y; a; b ];
+      define ctx [ n y; n a; n b ];
+      define ctx [ y; a; n b ];
+      define ctx [ y; n a; b ];
+      Itbl.add ctx.xor_cache key y;
+      y
+
+(* One-sided sequential counter (Sinz, CP 2005).  With x_1..x_n the
+   inputs, r(i,j) reads "at least j of x_1..x_i" and gets only the two
+   clauses that push it down a column:
+     r(i,j) -> r(i-1,j) \/ x_i,   r(i,j) -> r(i-1,j) \/ r(i-1,j-1),
+   where r(i-1,j) is false for j > i-1 and r(i-1,0) is true.  Only the
+   r(i,j) that r(n,k) can reach exist: max 1 (k-n+i) <= j <= min i k.
+   The definitions are unguarded (they constrain fresh variables only);
+   the root unit r(n,k) alone carries the selector. *)
+let at_least ctx lits k =
+  let x = Array.of_list lits in
+  let n = Array.length x in
+  if k > n then assert_lit ctx (lit ctx Expr.false_)
+  else if k > 0 then begin
+    Card.encode_point Card.Sequential ~op:"at_least" ~n ~k;
+    (* r.(j) is r(i,j) of the row last built; descending j reads r(i-1,j)
+       and r(i-1,j-1) before they are overwritten.  The fill is never
+       read. *)
+    let r = Array.make (k + 1) x.(0) in
+    for i = 1 to n do
+      for j = min i k downto max 1 (k - n + i) do
+        let y = fresh_lit ctx in
+        let below = if j <= i - 1 then [ r.(j) ] else [] in
+        define ctx (Sat.Lit.neg y :: x.(i - 1) :: below);
+        if j > 1 then define ctx (Sat.Lit.neg y :: r.(j - 1) :: below);
+        r.(j) <- y
+      done
+    done;
+    assert_lit ctx r.(k)
+  end
 
 (* A deadline is polled where the solver already polls its interrupt
    (every 64 conflicts and 1024 decisions), never by re-entering the
@@ -146,7 +198,7 @@ let check_body ?deadline ?(assumptions = []) ctx =
   Sat.Solver.probe "ctx.check";
   ctx.last_sat <- false;
   let assumption_lits =
-    ctx.selectors @ List.map (lit_of ctx) assumptions
+    ctx.selectors @ List.map (lit ctx) assumptions
   in
   let solve () =
     match Sat.Solver.solve ~assumptions:assumption_lits ctx.solver with
@@ -223,7 +275,7 @@ let check ?deadline ?assumptions ctx =
 let enumerate ?limit ctx ~over f =
   push ctx;
   (* force Tseitin definitions up front so models cover these literals *)
-  let lits = List.map (lit_of ctx) over in
+  let lits = List.map (lit ctx) over in
   let count = ref 0 in
   let continue_enum = ref true in
   while

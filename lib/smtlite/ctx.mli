@@ -26,6 +26,32 @@ val create : ?proof:bool -> unit -> t
 (** [assert_ ctx e] asserts expression [e] at the current stack level. *)
 val assert_ : t -> Expr.t -> unit
 
+(** {2 The literal level}
+
+    Callers that build a constraint straight to clauses, with no {!Expr}
+    node for it, work on solver literals.  Definitions of fresh literals
+    are unguarded, like the Tseitin ones; only what {!at_least} asserts
+    is guarded by the current level's selector. *)
+
+(** [lit ctx e] is the literal of [e], its Tseitin translation memoised
+    per context on the expression: a second call adds no clause. *)
+val lit : t -> Expr.t -> Sat.Lit.t
+
+(** [xor ctx a b] is a fresh literal defined as [a XOR b] by the four
+    clauses of both polarities.  It is memoised per context on the
+    unordered pair: [xor ctx a b] and [xor ctx b a] return the literal of
+    the first call and add no clause. *)
+val xor : t -> Sat.Lit.t -> Sat.Lit.t -> Sat.Lit.t
+
+(** [at_least ctx lits k] asserts, at the current level, that at least
+    [k] of [lits] are true.  It is a one-sided sequential counter (Sinz,
+    CP 2005): about [2k(n-k+1)] clauses over [k(n-k+1)] fresh literals
+    for [n] inputs, which imply the bound but do not define the counts.
+    [k <= 0] asserts nothing; [k > n] asserts false.  A bound with
+    [1 <= k <= n] records one [card.encode] point (encoding
+    ["sequential"], op ["at_least"]). *)
+val at_least : t -> Sat.Lit.t list -> int -> unit
+
 (** [push ctx] opens a new assertion level. *)
 val push : t -> unit
 

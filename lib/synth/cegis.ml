@@ -165,13 +165,40 @@ type step_result =
   | Progress of cex
   | Exhausted
 
+(* The data-word constraint built straight to clauses: check bit j is the
+   XOR chain of column j over the word's set rows in ascending order, so a
+   later counterexample that shares a prefix of set rows reuses the chain's
+   literals from [Ctx.xor]'s memo (DESIGN.md, "Counterexamples at the
+   literal level").  An empty chain is the constant false. *)
+let assert_data_word syn vars ~min_distance d =
+  let deficit = min_distance - Bitvec.popcount d in
+  if deficit > 0 then begin
+    let rows = ref [] in
+    Bitvec.iter_set (fun i -> rows := i :: !rows) d;
+    let rows = List.rev !rows in
+    let chain j =
+      match rows with
+      | [] -> Ctx.lit syn Expr.false_
+      | i :: rest ->
+          List.fold_left
+            (fun acc i -> Ctx.xor syn acc (Ctx.lit syn vars.(i).(j)))
+            (Ctx.lit syn vars.(i).(j))
+            rest
+    in
+    Ctx.at_least syn (List.init (Array.length vars.(0)) chain) deficit
+  end
+
 (* Absorb a counterexample — the session's own, one imported from another
    portfolio worker, or one replayed from a checkpoint.  Raw witnesses are
    re-encoded with this session's own cardinality encoding, so sharing
    across differently-configured workers stays sound: both constraint forms
-   are implied for any correct code. *)
+   are implied for any correct code.  Under [Sequential] a data word goes
+   straight to clauses; the other encodings, and candidate blocking, go
+   through [Expr]. *)
 let learn_into s cex =
   match cex with
+  | Cex_data d when s.encoding = Card.Sequential ->
+      assert_data_word s.syn s.vars ~min_distance:s.problem.min_distance d
   | Cex_data d ->
       Ctx.assert_ s.syn
         (data_word_constraint ~encoding:s.encoding s.vars
@@ -200,12 +227,7 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
         v
     | None -> make_matrix_vars ~data_len ~check_len
   in
-  let entry ~row ~col = vars.(row).(col) in
-  List.iter (fun build -> Ctx.assert_ syn (build ~entry)) extra;
   let symmetry = symmetry_of_problem problem in
-  if symmetry <> No_order then
-    assert_row_order syn vars ~strict:(problem.min_distance >= 3);
-  if symmetry = Rows_cols then assert_col_order syn vars;
   if Telemetry.enabled () then
     Telemetry.point "cegis.session"
       ~fields:
@@ -237,9 +259,20 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
       best = None;
     }
   in
-  (* replay counterexamples recovered from a checkpoint (or carried over
-     from a previous incarnation) before the first candidate is drawn *)
-  List.iter (learn_into s) initial;
+  (* The session's own encoding, before its first candidate: the extra
+     constraints, the symmetry order and the counterexamples replayed from
+     a checkpoint or a warm-start pool.  Its own span, so it is not left
+     outside every layer. *)
+  let encode () =
+    let entry ~row ~col = vars.(row).(col) in
+    List.iter (fun build -> Ctx.assert_ syn (build ~entry)) extra;
+    if symmetry <> No_order then
+      assert_row_order syn vars ~strict:(problem.min_distance >= 3);
+    if symmetry = Rows_cols then assert_col_order syn vars;
+    List.iter (learn_into s) initial
+  in
+  if Telemetry.enabled () then Telemetry.span "cegis.encode" encode
+  else encode ();
   s
 
 let matrix_vars s = s.vars

@@ -93,7 +93,9 @@ type session
     with no [extra] constraints is symmetric under row and column
     permutations of P, so the session orders P (see {!symmetry}): every
     code has a permutation in that order with the same distance, so
-    [Exhausted] still means no code exists.
+    [Exhausted] still means no code exists.  [initial] counterexamples
+    are learned before the first candidate.  The extra constraints, the
+    order and [initial] are encoded inside one [cegis.encode] span.
     @raise Invalid_argument on an empty problem or mismatched [vars]. *)
 val create_session :
   ?cex_mode:cex_mode ->

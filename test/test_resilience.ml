@@ -366,6 +366,27 @@ let qcheck_cache_entry_refuses_damage =
       Sys.rmdir dir;
       ok)
 
+(* An entry whose seal and CRC are intact but whose code is not a matrix
+   is a miss, and [verify] lists it as corrupt instead of raising. *)
+let test_cache_entry_bad_code () =
+  let dir = Filename.temp_file "fec-cache" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "d.entry" in
+  write_file path
+    (Durable.seal ~magic:"fecsynth-cache" ~version:1
+       ({|{"key":"k","created":"2026-01-01T00:00:00Z","code":"10x;01",|}
+       ^ {|"check_len":1,"md":1,"verified_md":1,"iterations":0,"elapsed":0.0}|}
+       ^ "\n"));
+  Alcotest.(check bool) "lookup misses" true
+    (Cache.lookup ~dir ~digest:"d" ~key:"k" = None);
+  let v = Cache.verify ~dir in
+  Alcotest.(check (pair int (list string))) "verify: 0 ok, listed corrupt"
+    (0, [ "d.entry" ])
+    (v.Cache.ok_entries, v.Cache.corrupt);
+  Sys.remove path;
+  Sys.rmdir dir
+
 let test_metrics_file_whole () =
   let dir = Filename.temp_file "fec-metrics" "" in
   Sys.remove dir;
@@ -637,6 +658,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_checkpoint_refuses_damage;
           QCheck_alcotest.to_alcotest qcheck_cache_entry_refuses_damage;
+          Alcotest.test_case "sealed entry with a malformed code" `Quick
+            test_cache_entry_bad_code;
           Alcotest.test_case "metrics file is rewritten whole" `Quick
             test_metrics_file_whole;
         ] );

@@ -300,6 +300,92 @@ let prop_card_solver_bound enc name =
          Ctx.assert_ ctx (Card.at_least enc es (k + 1));
          Ctx.check ctx = Ctx.Unsat))
 
+(* ---------- literal-level counters and XOR ---------- *)
+
+(* [Ctx.at_least] against [Card.at_least Naive] under the same random
+   assumptions (each input forced true, forced false or free), asserted
+   inside a push so the pop must retract it. *)
+let prop_ctx_at_least_matches_naive =
+  QCheck.Test.make ~name:"Ctx.at_least agrees with the naive encoding" ~count:300
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 10) (int_range 0 2))
+        (int_range 0 11))
+    (fun (forced, k) ->
+      let n = List.length forced in
+      let k = min k (n + 1) in
+      let es = List.init n Expr.var in
+      let assumptions =
+        List.concat
+          (List.mapi
+             (fun i f ->
+               match f with 0 -> [ Expr.not_ (Expr.var i) ] | 1 -> [ Expr.var i ] | _ -> [])
+             forced)
+      in
+      let naive = Ctx.create () in
+      Ctx.assert_ naive (Card.at_least Card.Naive es k);
+      let direct = Ctx.create () in
+      Ctx.push direct;
+      Ctx.at_least direct (List.map (Ctx.lit direct) es) k;
+      let expected = Ctx.check ~assumptions naive in
+      let got = Ctx.check ~assumptions direct in
+      Ctx.pop direct;
+      got = expected
+      && expected = (if List.length (List.filter (fun f -> f <> 0) forced) >= k then Ctx.Sat else Ctx.Unsat)
+      && Ctx.check ~assumptions direct = Ctx.Sat)
+
+(* Chains over random permutations of random subsets of the inputs share
+   prefixes through the memo.  Under inputs forced to random values every
+   chain literal is the parity of its inputs, and a chain forced to a value
+   forces its inputs' parity to it. *)
+let prop_ctx_xor_chain_parity =
+  QCheck.Test.make ~name:"Ctx.xor chains are parities" ~count:200
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 1 8) bool)
+        (list_of_size (Gen.int_range 1 6) (list_of_size (Gen.int_range 1 8) (int_bound 7)))
+        bool)
+    (fun (values, chains, target) ->
+      let n = List.length values in
+      let ctx = Ctx.create () in
+      let solver = Ctx.solver ctx in
+      let inputs = Array.init n (fun i -> Ctx.lit ctx (Expr.var i)) in
+      let chains = List.map (fun c -> List.sort_uniq compare (List.map (fun i -> i mod n) c)) chains in
+      let chain_lit c =
+        match c with
+        | [] -> assert false
+        | i :: rest -> List.fold_left (fun acc j -> Ctx.xor ctx acc inputs.(j)) inputs.(i) rest
+      in
+      let lits = List.map chain_lit chains in
+      let parity value c = List.fold_left (fun acc i -> acc <> value i) false c in
+      let forced =
+        List.mapi (fun i v -> if v then inputs.(i) else Sat.Lit.neg inputs.(i)) values
+      in
+      let under_inputs =
+        Sat.Solver.solve ~assumptions:forced solver = Sat.Solver.Sat
+        && List.for_all2
+             (fun c l -> Sat.Solver.value solver l = parity (List.nth values) c)
+             chains lits
+      in
+      let c = List.hd chains and l = List.hd lits in
+      let under_chain =
+        Sat.Solver.solve ~assumptions:[ (if target then l else Sat.Lit.neg l) ] solver
+        = Sat.Solver.Sat
+        && parity (fun i -> Sat.Solver.value solver inputs.(i)) c = target
+      in
+      under_inputs && under_chain)
+
+let test_ctx_xor_memo () =
+  let ctx = Ctx.create () in
+  let a = Ctx.lit ctx (Expr.var 0) and b = Ctx.lit ctx (Expr.var 1) in
+  let y = Ctx.xor ctx a b in
+  let solver = Ctx.solver ctx in
+  let vars = Sat.Solver.nvars solver and clauses = Sat.Solver.nclauses solver in
+  Alcotest.(check bool) "xor a b again" true (Sat.Lit.equal y (Ctx.xor ctx a b));
+  Alcotest.(check bool) "xor b a" true (Sat.Lit.equal y (Ctx.xor ctx b a));
+  Alcotest.(check (pair int int)) "no variable, no clause added" (vars, clauses)
+    (Sat.Solver.nvars solver, Sat.Solver.nclauses solver)
+
 let prop_pb_le_matches =
   QCheck.Test.make ~name:"pb_le matches integer semantics" ~count:300
     (QCheck.triple
@@ -552,6 +638,9 @@ let () =
           prop_card_solver_bound Card.Sequential "sequential solver bound";
           prop_card_solver_bound Card.Totalizer "totalizer solver bound";
           prop_card_solver_bound Card.Adder "adder solver bound";
+          qtest prop_ctx_at_least_matches_naive;
+          qtest prop_ctx_xor_chain_parity;
+          Alcotest.test_case "xor memo" `Quick test_ctx_xor_memo;
           qtest prop_pb_le_matches;
           Alcotest.test_case "pb rejects negative" `Quick test_pb_rejects_negative;
         ] );

@@ -649,12 +649,12 @@ let test_portfolio_encodings_agree_on_distance () =
   List.iter (fun d -> Alcotest.(check int) "verified min distance" 3 d) mds
 
 let test_portfolio_restart_rounds () =
-  (* a 10 ms restart interval forces several reseeded rounds on an
-     instance that takes hundreds of ms with four timeshared workers; the
+  (* a 1 ms restart interval forces several reseeded rounds on an
+     instance that takes tens of ms with four timeshared workers; the
      pool carries over, the result must still verify and the report must
      show the extra rounds with reseeded labels *)
   match
-    Portfolio.synthesize ~timeout:60.0 ~jobs:4 ~restart_interval:0.01
+    Portfolio.synthesize ~timeout:60.0 ~jobs:4 ~restart_interval:0.001
       (simple_problem ~k:9 ~c:10 ~m:5)
   with
   | Report.Synthesized (code, report) ->
