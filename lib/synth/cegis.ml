@@ -278,6 +278,7 @@ let create_session ?(cex_mode = Data_word) ?(verifier = Combinatorial)
 let matrix_vars s = s.vars
 
 let session_solver_vars s = Sat.Solver.nvars (Ctx.solver s.syn)
+let session_sat_stats s = Ctx.stats s.syn
 
 let session_stats s : Report.Stats.t =
   {

@@ -147,6 +147,9 @@ val session_stats : session -> Report.Stats.t
     the symmetry order's and the counterexamples' auxiliary variables. *)
 val session_solver_vars : session -> int
 
+(** The synthesizer solver's cumulative search counters. *)
+val session_sat_stats : session -> Sat.Solver.stats
+
 (** [session_best session] is the best refuted candidate so far together
     with its verified distance bound: the refuting witness's codeword
     weight, an upper bound on the candidate's minimum distance.  This is

@@ -506,6 +506,24 @@ let test_compaction_under_churn () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
 
+(* The solver's exact search counters on two corpus instances (see the
+   CEGIS pins in test_synth.ml): storage and intake work must not move
+   them. *)
+let test_corpus_search_pins () =
+  let corpus = Gen.default_corpus () in
+  List.iter
+    (fun (name, want) ->
+      let s = Solver.create () in
+      Dimacs.load_into s (List.assoc name corpus);
+      Alcotest.(check bool) (name ^ " unsat") true (Solver.solve s = Solver.Unsat);
+      let st = Solver.stats s in
+      Alcotest.(check (list int)) name want
+        [ st.Solver.decisions; st.Solver.propagations; st.Solver.conflicts; st.Solver.restarts ])
+    [
+      ("ksat_v150_r4.2_s1", [ 2_422; 59_088; 2_001; 12 ]);
+      ("parity_24_unsat", [ 25_361; 245_061; 16_857; 62 ]);
+    ]
+
 let prop_incremental_matches_monolithic =
   QCheck.Test.make ~name:"incremental clause addition matches from-scratch" ~count:200
     arb_cnf
@@ -556,6 +574,7 @@ let () =
           Alcotest.test_case "rejects malformed input" `Quick test_dimacs_rejects_malformed;
           Alcotest.test_case "corpus round trip" `Quick test_dimacs_corpus_roundtrip;
           Alcotest.test_case "corpus generator pinned" `Quick test_gen_corpus_pinned;
+          Alcotest.test_case "corpus search pins" `Quick test_corpus_search_pins;
           qtest prop_dimacs_roundtrip;
         ] );
       ( "reference",

@@ -571,6 +571,49 @@ let test_ver_conflicts_reported () =
         (stats.Report.Stats.ver_conflicts > 0)
   | _ -> Alcotest.fail "expected success"
 
+(* ---------- search-identity pins ---------- *)
+
+(* The synthesizer's exact search counters for a few fixed runs.  Work
+   that only changes how the solver stores what it is given (its arrays,
+   its clause intake, its hash tables) must leave every one of them as it
+   is; a change that does move the search changes them on purpose and
+   says so.  Each run gets a fresh expression scope, so the uids it sees
+   do not depend on the tests that ran before it. *)
+let search_counters ?seed (k, c, m) =
+  Smtlite.Expr.with_scope (Smtlite.Expr.new_scope ()) (fun () ->
+      let s =
+        Cegis.create_session ?seed
+          { Cegis.data_len = k; check_len = c; min_distance = m; extra = [] }
+      in
+      let rec go () =
+        match Cegis.step s with
+        | Cegis.Done _ -> ()
+        | Cegis.Exhausted -> Alcotest.fail "expected a code"
+        | Cegis.Progress _ -> go ()
+      in
+      go ();
+      let st = Cegis.session_sat_stats s in
+      ( st.Sat.Solver.decisions,
+        st.Sat.Solver.propagations,
+        st.Sat.Solver.conflicts,
+        st.Sat.Solver.restarts,
+        (Cegis.session_stats s).Report.Stats.iterations ))
+
+let test_search_pins () =
+  List.iter
+    (fun (label, seed, shape, want) ->
+      let d, p, c, r, i = search_counters ?seed shape in
+      let show (d, p, c, r, i) =
+        Printf.sprintf "%d decisions / %d propagations / %d conflicts / %d restarts, %d iterations"
+          d p c r i
+      in
+      Alcotest.(check string) label (show want) (show (d, p, c, r, i)))
+    [
+      ("(13,15,7)", None, (13, 15, 7), (107_233, 335_749, 553, 2, 113));
+      ("(16,12,5)", None, (16, 12, 5), (11_207, 32_733, 54, 0, 38));
+      ("(10,10,5) seed 1", Some 1, (10, 10, 5), (7_707, 22_966, 32, 0, 32));
+    ]
+
 (* ---------- portfolio ---------- *)
 
 let simple_problem ~k ~c ~m =
@@ -942,6 +985,8 @@ let () =
           Alcotest.test_case "beats manual §6 matrix" `Slow test_multibit_beats_manual_construction;
           Alcotest.test_case "input validation" `Quick test_multibit_rejects_bad_input;
         ] );
+      ( "search pins",
+        [ Alcotest.test_case "sequential and seeded sessions" `Quick test_search_pins ] );
       ( "portfolio",
         [
           Alcotest.test_case "ver_conflicts reported" `Quick test_ver_conflicts_reported;
