@@ -57,6 +57,9 @@ let ba_set : arena -> int -> int -> unit = Bigarray.Array1.unsafe_set
 
 type t = {
   mutable nvars : int;
+  mutable var_cap : int;
+      (* variables the per-variable arrays below have room for; the
+         per-literal ones hold twice as many entries *)
   (* clause arena *)
   mutable arena : arena;
   mutable arena_size : int; (* first free word *)
@@ -99,8 +102,10 @@ type t = {
   mutable seen : bool array; (* scratch for analyze *)
   mutable level_stamp : int array; (* scratch for LBD *)
   mutable stamp_ctr : int;
-  mutable model_ : bool array;
+  mutable model_ : bool array; (* per var; the last model's first [model_len] *)
+  mutable model_len : int;
   mutable model_valid : bool;
+  mutable intake : int array; (* [add_clause]'s literal codes *)
   mutable interrupt : (unit -> bool) option;
   mutable rng : int64 option; (* None = deterministic default search *)
   mutable proof_log : Buffer.t option;
@@ -156,6 +161,7 @@ let create () =
   ba_set arena 3 0;
   {
     nvars = 0;
+    var_cap = 0;
     arena;
     arena_size = arena_start;
     arena_wasted = 0;
@@ -192,7 +198,9 @@ let create () =
     level_stamp = [||];
     stamp_ctr = 0;
     model_ = [||];
+    model_len = 0;
     model_valid = false;
+    intake = Array.make 16 0;
     interrupt = None;
     rng = None;
     proof_log = None;
@@ -232,9 +240,9 @@ let arena_alloc s words =
   s.arena_size <- s.arena_size + words;
   cr
 
-(* Store a size>=3 clause in the arena; returns its cref. *)
-let alloc_clause s lits ~learnt ~lbd =
-  let size = Array.length lits in
+(* Store the size>=3 clause [lits.(0) .. lits.(size - 1)] in the arena;
+   returns its cref. *)
+let alloc_clause s lits size ~learnt ~lbd =
   let cr = arena_alloc s (2 + size) in
   let a = s.arena in
   ba_set a cr (header_make ~size ~learnt);
@@ -352,34 +360,39 @@ let heap_decrease s v = if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 (* ---------- growing per-variable state ---------- *)
 
 let grow_array a n default =
-  let old = Array.length a in
-  if n <= old then a
-  else begin
-    let cap = max n (max 16 (old * 2)) in
-    let b = Array.make cap default in
-    Array.blit a 0 b 0 old;
-    b
+  let b = Array.make n default in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Give every per-variable array room for at least [n] variables, by
+   doubling.  The entries past [nvars] keep their defaults until a
+   variable claims them, so a new variable within the capacity needs no
+   writes beyond its own heap slot and phase. *)
+let reserve_vars s n =
+  if n > s.var_cap then begin
+    let cap = max n (max 16 (2 * s.var_cap)) in
+    s.vals <- grow_array s.vals (2 * cap) 0;
+    s.level <- grow_array s.level cap 0;
+    s.reason <- grow_array s.reason cap (-1);
+    s.polarity <- grow_array s.polarity cap false;
+    s.activity <- grow_array s.activity cap 0.0;
+    s.heap <- grow_array s.heap cap 0;
+    s.heap_pos <- grow_array s.heap_pos cap (-1);
+    s.seen <- grow_array s.seen cap false;
+    s.level_stamp <- grow_array s.level_stamp (cap + 1) 0;
+    s.trail <- grow_array s.trail cap 0;
+    s.model_ <- grow_array s.model_ cap false;
+    s.w_data <- grow_array s.w_data (2 * cap) [||];
+    s.w_size <- grow_array s.w_size (2 * cap) 0;
+    s.bin_data <- grow_array s.bin_data (2 * cap) [||];
+    s.bin_size <- grow_array s.bin_size (2 * cap) 0;
+    s.var_cap <- cap
   end
 
 let new_var s =
   let v = s.nvars in
+  reserve_vars s (v + 1);
   s.nvars <- v + 1;
-  s.vals <- grow_array s.vals (2 * s.nvars) 0;
-  s.level <- grow_array s.level s.nvars 0;
-  s.reason <- grow_array s.reason s.nvars (-1);
-  s.polarity <- grow_array s.polarity s.nvars false;
-  s.activity <- grow_array s.activity s.nvars 0.0;
-  s.heap <- grow_array s.heap s.nvars 0;
-  s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
-  s.seen <- grow_array s.seen s.nvars false;
-  s.level_stamp <- grow_array s.level_stamp (s.nvars + 1) 0;
-  s.trail <- grow_array s.trail s.nvars 0;
-  s.w_data <- grow_array s.w_data (2 * s.nvars) [||];
-  s.w_size <- grow_array s.w_size (2 * s.nvars) 0;
-  s.bin_data <- grow_array s.bin_data (2 * s.nvars) [||];
-  s.bin_size <- grow_array s.bin_size (2 * s.nvars) 0;
-  s.reason.(v) <- -1;
-  s.heap_pos.(v) <- -1;
   (* a seeded solver explores a random initial polarity per variable, so
      differently-seeded portfolio workers search different orthants *)
   if s.rng <> None then s.polarity.(v) <- rng_bool s;
@@ -388,6 +401,7 @@ let new_var s =
 
 let new_vars s n =
   if n <= 0 then invalid_arg "Solver.new_vars: non-positive count";
+  reserve_vars s (s.nvars + n);
   let first = new_var s in
   for _ = 2 to n do
     ignore (new_var s)
@@ -973,14 +987,16 @@ let maybe_compact s =
 
 (* ---------- clause addition ---------- *)
 
-let store_clause s lits ~learnt ~lbd =
-  match Array.length lits with
+(* Store the clause [lits.(0) .. lits.(n - 1)]; returns its cref, or -1
+   for a binary. *)
+let store_clause s lits n ~learnt ~lbd =
+  match n with
   | 2 ->
       attach_binary s (Lit.of_code lits.(0)) (Lit.of_code lits.(1));
       if not learnt then s.n_live_orig <- s.n_live_orig + 1;
       -1
   | n when n >= 3 ->
-      let cr = alloc_clause s lits ~learnt ~lbd in
+      let cr = alloc_clause s lits n ~learnt ~lbd in
       attach s cr;
       if learnt then Vec.push s.learnts cr
       else begin
@@ -1003,47 +1019,105 @@ let add_unit s l =
     s.okay <- false
   end
 
-(* Attach a clause of two or more literals to the live trail.  The
-   literals are ordered non-false first, then false by decreasing level,
-   and the first two are watched.  A clause that is unit under the trail
-   implies its literal at the level of its highest false literal; one
-   whose only true literal sits above that level becomes a late unit,
-   implied again at its true level once a backtrack unassigns the
-   literal (see [flush_late]).  A falsified clause backtracks
-   to its second-highest level, where it becomes unit, or to just below
-   its highest level when the two highest share it. *)
-let add_long s lits =
-  let level_of l = s.level.(l lsr 1) in
-  let key l = if lit_value s l >= 0 then max_int else level_of l in
+(* Clause intake sorts in place in [s.intake].  Up to [sort_cutoff]
+   literals an insertion sort does it without allocating; longer
+   clauses go through [Array.stable_sort].  Both are stable, so they put
+   the literals in the same order. *)
+let sort_cutoff = 16
+
+let sort_codes (a : int array) n =
+  if n > sort_cutoff then begin
+    let t = Array.sub a 0 n in
+    Array.stable_sort Int.compare t;
+    Array.blit t 0 a 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* [add_long]'s order: non-false literals first, then false ones by
+   decreasing level. *)
+let watch_key s l = if lit_value s l >= 0 then max_int else s.level.(l lsr 1)
+
+let sort_by_watch_key s (a : int array) n =
+  if n > sort_cutoff then begin
+    let t = Array.sub a 0 n in
+    Array.stable_sort (fun x y -> Int.compare (watch_key s y) (watch_key s x)) t;
+    Array.blit t 0 a 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let k = watch_key s x in
+      let j = ref (i - 1) in
+      while !j >= 0 && watch_key s a.(!j) < k do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* Store the original clause in [s.intake]; returns the tagged reason it
+   gives its first literal, whose partner in a binary is [l1]. *)
+let store_intake s n l1 =
+  let cr = store_clause s s.intake n ~learnt:false ~lbd:0 in
+  if cr < 0 then (l1 lsl 1) lor 1 else cr lsl 1
+
+(* Attach the clause of [n >= 2] literals in [s.intake] to the live
+   trail.  The literals are ordered non-false first, then false by
+   decreasing level, and the first two are watched.  A clause that is
+   unit under the trail implies its literal at the level of its highest
+   false literal; one whose only true literal sits above that level
+   becomes a late unit, implied again at its true level once a backtrack
+   unassigns the literal (see [flush_late]).  A falsified clause
+   backtracks to its second-highest level, where it becomes unit, or to
+   just below its highest level when the two highest share it. *)
+let add_long s n =
+  let lits = s.intake in
   (* [lits] arrive in ascending code order, which breaks ties *)
-  Array.stable_sort (fun x y -> Int.compare (key y) (key x)) lits;
+  sort_by_watch_key s lits n;
   let l0 = lits.(0) and l1 = lits.(1) in
-  (* store the clause; returns the tagged reason it gives [l0] *)
-  let store () =
-    let cr = store_clause s lits ~learnt:false ~lbd:0 in
-    if cr < 0 then (l1 lsl 1) lor 1 else cr lsl 1
-  in
-  if lit_value s l1 >= 0 then ignore (store ())
+  if lit_value s l1 >= 0 then ignore (store_intake s n l1)
   else begin
-    let lv1 = level_of l1 in
+    let lv1 = s.level.(l1 lsr 1) in
+    let lv0 = s.level.(l0 lsr 1) in
     match lit_value s l0 with
     | 0 ->
-        let reason = store () in
+        let reason = store_intake s n l1 in
         enqueue s l0 lv1 reason
     | 1 ->
-        let reason = store () in
-        if level_of l0 > lv1 then s.late_units <- (l0, reason, lv1) :: s.late_units
+        let reason = store_intake s n l1 in
+        if lv0 > lv1 then s.late_units <- (l0, reason, lv1) :: s.late_units
     | _ ->
-        if level_of l0 > lv1 then begin
+        if lv0 > lv1 then begin
           cancel_until s lv1;
-          let reason = store () in
+          let reason = store_intake s n l1 in
           enqueue s l0 lv1 reason
         end
         else begin
-          cancel_until s (level_of l0 - 1);
-          ignore (store ())
+          cancel_until s (lv0 - 1);
+          ignore (store_intake s n l1)
         end
   end
+
+let fixed s l v = lit_value s l = v && s.level.(l lsr 1) = 0
+
+(* Copy the clause's literal codes into [a] from index [i]. *)
+let rec intake_codes s a i = function
+  | [] -> ()
+  | l :: rest ->
+      if Lit.var l >= s.nvars then
+        invalid_arg
+          (Printf.sprintf "Solver.add_clause: variable %d not allocated" (Lit.var l));
+      Array.unsafe_set a i (Lit.code l);
+      intake_codes s a (i + 1) rest
 
 (* Clauses are added against the live trail: after [Sat] the assignment
    may stay, and the next [solve] resumes from it (see [solve_body]).
@@ -1052,27 +1126,22 @@ let add_long s lits =
    pair ([2v], [2v + 1]) sit next to each other, and one pass drops the
    duplicates and level-0 false literals and detects a tautology. *)
 let add_clause s lits =
-  let a = Array.make (List.length lits) 0 in
-  List.iteri
-    (fun i l ->
-      if Lit.var l >= s.nvars then
-        invalid_arg
-          (Printf.sprintf "Solver.add_clause: variable %d not allocated" (Lit.var l));
-      a.(i) <- Lit.code l)
-    lits;
+  let len = List.length lits in
+  if len > Array.length s.intake then
+    s.intake <- Array.make (max len (2 * Array.length s.intake)) 0;
+  let a = s.intake in
+  intake_codes s a 0 lits;
   if s.okay then begin
     if s.proof_log <> None then s.originals <- lits :: s.originals;
     s.model_valid <- false;
-    let fixed l v = lit_value s l = v && s.level.(l lsr 1) = 0 in
-    Array.stable_sort Int.compare a;
-    let len = Array.length a in
+    sort_codes a len;
     let kept = ref 0 and last = ref (-1) and tautology = ref false and i = ref 0 in
     while (not !tautology) && !i < len do
       let l = a.(!i) in
       incr i;
       if l <> !last then begin
-        if l = !last lxor 1 || fixed l 1 then tautology := true
-        else if not (fixed l (-1)) then begin
+        if l = !last lxor 1 || fixed s l 1 then tautology := true
+        else if not (fixed s l (-1)) then begin
           a.(!kept) <- l;
           incr kept
         end;
@@ -1085,7 +1154,7 @@ let add_clause s lits =
           proof_empty s;
           s.okay <- false
       | 1 -> add_unit s a.(0)
-      | n -> add_long s (if n = len then a else Array.sub a 0 n)
+      | n -> add_long s n
     end
   end
 
@@ -1460,7 +1529,7 @@ let record_learnt s lits back_level =
       attach_binary s (Lit.of_code lits.(0)) (Lit.of_code lits.(1));
       enqueue s lits.(0) back_level ((lits.(1) lsl 1) lor 1)
   | _ ->
-      let cr = store_clause s lits ~learnt:true ~lbd in
+      let cr = store_clause s lits (Array.length lits) ~learnt:true ~lbd in
       enqueue s lits.(0) back_level (cr lsl 1)
 
 (* Remove clause [cr]'s watcher from the watch list of [~l]. *)
@@ -1646,7 +1715,10 @@ let solve_body ?(assumptions = []) s =
            if !repairing then repairing := false else incr restart_i;
            match search s ~assumptions ~conflict_limit:limit with
            | Out_sat ->
-               s.model_ <- Array.init s.nvars (fun v -> s.vals.(2 * v) = 1);
+               for v = 0 to s.nvars - 1 do
+                 s.model_.(v) <- s.vals.(2 * v) = 1
+               done;
+               s.model_len <- s.nvars;
                s.model_valid <- true;
                if s.trail_size >= s.resume_min_trail then s.kept <- Some assumptions;
                result := Some Sat
@@ -1739,18 +1811,23 @@ let solve ?assumptions s =
         raise Interrupted
   end
 
+(* [model_] outlives the model: past [model_len] it may hold anything *)
+let model_get s v =
+  if v < 0 || v >= s.model_len then invalid_arg "index out of bounds";
+  Array.unsafe_get s.model_ v
+
 let value s l =
   if not s.model_valid then invalid_arg "Solver.value: no model available";
-  let b = s.model_.(Lit.var l) in
+  let b = model_get s (Lit.var l) in
   if Lit.sign l then b else not b
 
 let value_var s v =
   if not s.model_valid then invalid_arg "Solver.value_var: no model available";
-  s.model_.(v)
+  model_get s v
 
 let model s =
   if not s.model_valid then invalid_arg "Solver.model: no model available";
-  Array.copy s.model_
+  Array.sub s.model_ 0 s.model_len
 
 let set_interrupt s f = s.interrupt <- f
 let interrupt s = s.interrupt

@@ -22,9 +22,11 @@ let create ?(proof = false) () =
   if proof then Sat.Solver.enable_proof solver;
   {
     solver;
-    lit_cache = Itbl.create 4096;
-    xor_cache = Itbl.create 4096;
-    var_map = Itbl.create 256;
+    (* small to start: most contexts are short optimize probes, and the
+       tables grow with the problem *)
+    lit_cache = Itbl.create 256;
+    xor_cache = Itbl.create 256;
+    var_map = Itbl.create 64;
     true_lit = None;
     selectors = [];
     last_sat = false;
