@@ -103,64 +103,6 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-(* The text rendering of an answer, one form per outcome. *)
-let print_answer (result : Session.result) =
-  let intr = result.Session.interrupted in
-  let print_stats (s : Synth.Report.Stats.t) =
-    Printf.printf "iterations: %d, time: %.2f s\n" s.iterations s.elapsed
-  in
-  match result.Session.outcome with
-  | Session.Codes (codes, stats) ->
-      List.iter
-        (fun code ->
-          Printf.printf "synthesized (%d,%d) generator, md %d, %d set bits:\n%s\n"
-            (Hamming.Code.block_len code) (Hamming.Code.data_len code)
-            (Hamming.Distance.min_distance code) (Hamming.Code.set_bits code)
-            (Hamming.Code.to_string code);
-          Printf.printf "descriptor: %s\n" (Fec_core.Registry.describe_code code))
-        codes;
-      print_stats stats
-  | Session.Optimized ({ code; check_len }, stats) ->
-      Printf.printf "minimal check length %d: (%d,%d) generator, md %d:\n%s\n"
-        check_len (Hamming.Code.block_len code) (Hamming.Code.data_len code)
-        (Hamming.Distance.min_distance code)
-        (Hamming.Code.to_string code);
-      print_stats stats
-  | Session.Setbits steps -> (
-      List.iter
-        (fun (s : Synth.Optimize.step) ->
-          Printf.printf "bound %d -> achieved %d (%d iterations, %.2f s)\n"
-            s.bound s.achieved s.step_stats.iterations s.step_stats.elapsed)
-        steps;
-      match List.rev steps with
-      | best :: _ ->
-          Printf.printf "\nbest generator (%d set bits):\n%s\n" best.achieved
-            (Hamming.Code.to_string best.generator)
-      | [] -> ())
-  | Session.Weighted w ->
-      let t0, t1 = w.counts and c0, c1 = w.codes in
-      Printf.printf
-        "mapping: %s (split %d/%d), sum_w = %.4f (proved optimal), %d iterations, %.2f s\n"
-        (String.concat "" (Array.to_list (Array.map string_of_int w.mapping)))
-        t0 t1 w.sum_w w.iterations w.elapsed;
-      Printf.printf "generator 0:\n%s\ngenerator 1:\n%s\n"
-        (Hamming.Code.to_string c0) (Hamming.Code.to_string c1)
-  | Session.Partial { code; achieved; check_len; verified; stats } ->
-      Printf.printf "partial: %s %s\n"
-        (if intr then "interrupted" else "budget expired")
-        (match (check_len, verified) with
-        | Some c, _ -> Printf.sprintf "at check length %d" c
-        | None, true -> "before the walk finished"
-        | None, false -> "before verification finished");
-      Printf.printf "%s: (%d,%d) generator, achieved md %d, %d set bits:\n%s\n"
-        (if verified then "best verified generator" else "best candidate so far")
-        (Hamming.Code.block_len code) (Hamming.Code.data_len code) achieved
-        (Hamming.Code.set_bits code) (Hamming.Code.to_string code);
-      print_stats stats
-  | Session.Unsat { reason; _ } -> Printf.printf "unsatisfiable: %s\n" reason
-  | Session.Timeout { reason; _ } ->
-      Printf.printf "%s: %s\n" (if intr then "interrupted" else "timeout") reason
-
 (* The one run path of synth and optimize: run the request, render its
    answer as text or as [{"command"} + the answer object + "portfolio"],
    and exit with the answer's code. *)
@@ -183,7 +125,7 @@ let run_session fmt request =
             | Session.Synth _ -> "")
       | _ -> ());
       Output.result fmt
-        ~text:(fun () -> print_answer result)
+        ~text:(fun () -> print_string (Session.answer_text result))
         ~json:(fun () ->
           (("command", J.Str request.Session.subcommand)
           :: Session.result_fields result)

@@ -160,6 +160,67 @@ let result_fields r =
       ("wall_s", J.Float r.wall_s);
     ]
 
+(* ---------- the text answer ---------- *)
+
+let answer_text (result : result) =
+  let b = Buffer.create 256 in
+  let intr = result.interrupted in
+  let print_stats (s : Synth.Report.Stats.t) =
+    Printf.bprintf b "iterations: %d, time: %.2f s\n" s.iterations s.elapsed
+  in
+  (match result.outcome with
+  | Codes (codes, stats) ->
+      List.iter
+        (fun code ->
+          Printf.bprintf b "synthesized (%d,%d) generator, md %d, %d set bits:\n%s\n"
+            (Hamming.Code.block_len code) (Hamming.Code.data_len code)
+            (Hamming.Distance.min_distance code) (Hamming.Code.set_bits code)
+            (Hamming.Code.to_string code);
+          Printf.bprintf b "descriptor: %s\n" (Fec_core.Registry.describe_code code))
+        codes;
+      print_stats stats
+  | Optimized ({ code; check_len }, stats) ->
+      Printf.bprintf b "minimal check length %d: (%d,%d) generator, md %d:\n%s\n"
+        check_len (Hamming.Code.block_len code) (Hamming.Code.data_len code)
+        (Hamming.Distance.min_distance code)
+        (Hamming.Code.to_string code);
+      print_stats stats
+  | Setbits steps -> (
+      List.iter
+        (fun (s : Synth.Optimize.step) ->
+          Printf.bprintf b "bound %d -> achieved %d (%d iterations, %.2f s)\n"
+            s.bound s.achieved s.step_stats.iterations s.step_stats.elapsed)
+        steps;
+      match List.rev steps with
+      | best :: _ ->
+          Printf.bprintf b "\nbest generator (%d set bits):\n%s\n" best.achieved
+            (Hamming.Code.to_string best.generator)
+      | [] -> ())
+  | Weighted w ->
+      let t0, t1 = w.counts and c0, c1 = w.codes in
+      Printf.bprintf b
+        "mapping: %s (split %d/%d), sum_w = %.4f (proved optimal), %d iterations, %.2f s\n"
+        (String.concat "" (Array.to_list (Array.map string_of_int w.mapping)))
+        t0 t1 w.sum_w w.iterations w.elapsed;
+      Printf.bprintf b "generator 0:\n%s\ngenerator 1:\n%s\n"
+        (Hamming.Code.to_string c0) (Hamming.Code.to_string c1)
+  | Partial { code; achieved; check_len; verified; stats } ->
+      Printf.bprintf b "partial: %s %s\n"
+        (if intr then "interrupted" else "budget expired")
+        (match (check_len, verified) with
+        | Some c, _ -> Printf.sprintf "at check length %d" c
+        | None, true -> "before the walk finished"
+        | None, false -> "before verification finished");
+      Printf.bprintf b "%s: (%d,%d) generator, achieved md %d, %d set bits:\n%s\n"
+        (if verified then "best verified generator" else "best candidate so far")
+        (Hamming.Code.block_len code) (Hamming.Code.data_len code) achieved
+        (Hamming.Code.set_bits code) (Hamming.Code.to_string code);
+      print_stats stats
+  | Unsat { reason; _ } -> Printf.bprintf b "unsatisfiable: %s\n" reason
+  | Timeout { reason; _ } ->
+      Printf.bprintf b "%s: %s\n" (if intr then "interrupted" else "timeout") reason);
+  Buffer.contents b
+
 (* ---------- interrupts ---------- *)
 
 (* The first Ctrl-C requests a cooperative wind-down: the solvers poll

@@ -117,6 +117,12 @@ val verdict : outcome -> interrupted:bool -> string * int
     [{block_len, data_len, matrix}]. *)
 val result_fields : result -> (string * Telemetry.Json.t) list
 
+(** The CLI's text rendering of a result, one form per outcome.  A cut
+    answer reads [interrupted: REASON] or [timeout: REASON]; an
+    interrupted [Timeout]'s reason says where the run stood, for
+    example [before the first candidate]. *)
+val answer_text : result -> string
+
 (** [load_prop spec] parses a property given inline or as [@FILE].
     @raise Sys_error when the file cannot be read. *)
 val load_prop : string -> Spec.Ast.prop

@@ -271,7 +271,7 @@ let walk_outcome ~cut_reason task (w : Optimize.walk) =
       match (found, near) with
       | { bound; generator; _ } :: _, _ -> partial ~verified:true bound generator
       | [], Some (param, code) -> partial ~verified:false param code
-      | [], None -> Timeout { reason = cut_reason (); stats })
+      | [], None -> Timeout { reason = cut_reason ~stood:"before the first candidate"; stats })
 
 let min_check_len ~data_len ~md ~check_lo ~check_hi =
   Min_check_len { data_len; check_lo; check_hi; md; len1_max = None; fixed_bits = [] }
@@ -280,8 +280,10 @@ let run ?(timeout = 120.0) ?weights ?p ?jobs ?on_report
     ?(interrupt = fun () -> false) ?(initial = [])
     ?(on_cex = fun (_ : Cegis.cex) -> ()) ?on_round task =
   let deadline = Unix.gettimeofday () +. timeout in
-  let cut_reason () =
-    if interrupt () then "interrupted" else "synthesis budget exhausted"
+  (* an interrupted answer is rendered after an "interrupted" label, so
+     its reason says where the run stood instead *)
+  let cut_reason ~stood =
+    if interrupt () then stood else "synthesis budget exhausted"
   in
   match task with
   | Weighted_mapping (g0, g1) -> (
@@ -299,7 +301,7 @@ let run ?(timeout = 120.0) ?weights ?p ?jobs ?on_report
               stats;
             }
       | Report.Timed_out stats | Report.Partial (_, stats) ->
-          Timeout { reason = cut_reason (); stats })
+          Timeout { reason = cut_reason ~stood:"before the mapping search finished"; stats })
   | Fixed s | Min_check_len s | Min_set_bits (s, _) | Max_distance s ->
       let fixed_len what =
         if s.check_lo <> s.check_hi then unsupported "%s needs a fixed len_c" what

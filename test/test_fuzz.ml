@@ -320,6 +320,123 @@ let test_add_clause_shapes () =
     done
   done
 
+(* ---------- clause intake against a kept trail ---------- *)
+
+(* Property form of the intake checks, aimed at the paths the short-clause
+   insertion sort does not take and at the model buffer.  Every [Sat]
+   keeps its trail ([set_resume_min_trail 0]), and between solves the
+   property adds variables and clauses in the shapes below: long ones
+   over more than [Solver]'s 16-literal sort cutoff, repeated literals, a
+   complementary pair, a literal true or false at level 0, and clauses
+   turned against the last model so they land unit or falsified below the
+   current level.  Each answer must match a from-scratch solve of the same
+   clauses, and each model must have exactly [nvars] entries and satisfy
+   every clause. *)
+type shape = Plain | Repeated | Complementary | Unit_true | Unit_false
+
+type intake_clause = {
+  lits : (int * bool) list;  (** variable, sign *)
+  against_model : bool;
+  shape : shape;
+}
+
+let intake_gen =
+  let open QCheck.Gen in
+  let clause nv =
+    let short = int_range 2 4 >>= fun k -> list_repeat k (pair (int_range 0 (nv - 1)) bool) in
+    let long =
+      int_range 17 (min 22 nv) >>= fun k ->
+      shuffle_l (List.init nv Fun.id) >>= fun vs ->
+      flatten_l (List.map (fun v -> map (fun b -> (v, b)) bool) (List.filteri (fun i _ -> i < k) vs))
+    in
+    frequency [ (3, short); (1, long) ] >>= fun lits ->
+    bool >>= fun against_model ->
+    oneofl [ Plain; Plain; Repeated; Complementary; Unit_true; Unit_false ] >>= fun shape ->
+    return { lits; against_model; shape }
+  in
+  int_range 18 22 >>= fun nv ->
+  list_size (int_range 1 3) (pair (int_range 0 (nv - 1)) bool) >>= fun units ->
+  list_size (int_range (2 * nv) (4 * nv)) (clause nv) >>= fun initial ->
+  let rec rounds nv n =
+    if n = 0 then return []
+    else
+      int_range 0 2 >>= fun k ->
+      list_size (int_range 1 4) (clause (nv + k)) >>= fun cs ->
+      rounds (nv + k) (n - 1) >>= fun rest -> return ((k, cs) :: rest)
+  in
+  int_range 1 6 >>= fun n ->
+  rounds nv n >>= fun rs -> return (nv, units, initial, rs)
+
+let intake_arb =
+  let print (nv, units, initial, rs) =
+    Printf.sprintf "%d vars, %d units, %d initial clauses, rounds adding %s" nv
+      (List.length units) (List.length initial)
+      (String.concat ", "
+         (List.map (fun (k, cs) -> Printf.sprintf "%d vars/%d clauses" k (List.length cs)) rs))
+  in
+  QCheck.make ~print intake_gen
+
+let prop_intake_against_kept_trail =
+  QCheck.Test.make ~count:200 ~name:"clause intake against a kept trail = from-scratch solve"
+    intake_arb (fun (nv, units, initial, rounds) ->
+      let mk (v, b) = if b then Lit.make v else Lit.neg (Lit.make v) in
+      let units = List.map mk units in
+      let s = Solver.create () in
+      Solver.set_resume_min_trail s 0;
+      ignore (Solver.new_vars s nv);
+      let all = ref [] and model = ref None in
+      let build c =
+        let base =
+          List.map
+            (fun (v, b) ->
+              match !model with
+              | Some m when c.against_model && v < Array.length m ->
+                  if m.(v) then Lit.neg (Lit.make v) else Lit.make v
+              | _ -> mk (v, b))
+            c.lits
+        in
+        let u = List.nth units (List.length c.lits mod List.length units) in
+        match c.shape with
+        | Plain -> base
+        | Repeated -> base @ List.rev base
+        | Complementary -> base @ [ Lit.neg (List.hd base) ]
+        | Unit_true -> u :: base
+        | Unit_false -> Lit.neg u :: base
+      in
+      let add c =
+        Solver.add_clause s c;
+        all := c :: !all
+      in
+      List.iter (fun u -> add [ u ]) units;
+      List.iter (fun c -> add (build c)) initial;
+      let agrees () =
+        let answer = Solver.solve s in
+        let fresh = Solver.create () in
+        ignore (Solver.new_vars fresh (Solver.nvars s));
+        List.iter (Solver.add_clause fresh) (List.rev !all);
+        if answer <> Solver.solve fresh then false
+        else
+          match answer with
+          | Solver.Unsat ->
+              model := None;
+              true
+          | Solver.Sat ->
+              let m = Solver.model s in
+              model := Some m;
+              Array.length m = Solver.nvars s && List.for_all (Reference.eval m) !all
+      in
+      let rec go = function
+        | [] -> agrees ()
+        | (k, cs) :: rest ->
+            agrees ()
+            && begin
+                 if k > 0 then ignore (Solver.new_vars s k);
+                 List.iter (fun c -> add (build c)) cs;
+                 go rest
+               end
+      in
+      go rounds)
+
 (* ---------- cardinality-encoding agreement ---------- *)
 
 let encodings =
@@ -431,6 +548,7 @@ let () =
           Alcotest.test_case
             "duplicates, tautologies, level-0 literals vs reference" `Quick
             test_add_clause_shapes;
+          QCheck_alcotest.to_alcotest prop_intake_against_kept_trail;
         ] );
       ( "cardinality",
         [

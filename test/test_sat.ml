@@ -524,6 +524,65 @@ let test_corpus_search_pins () =
       ("parity_24_unsat", [ 25_361; 245_061; 16_857; 62 ]);
     ]
 
+(* ---------- allocation pins ---------- *)
+
+(* Words allocated by [f], minor heap and direct major allocations both
+   (large arrays skip the minor heap), less what the measurement itself
+   costs. *)
+let words_allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let w1 = words () in
+  f ();
+  let w2 = words () in
+  (w2 -. w1) -. (w1 -. w0)
+
+let test_new_var_allocates_nothing () =
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 1000);
+  (* the 1001st variable doubles every per-variable array *)
+  ignore (Solver.new_var s);
+  let w = words_allocated (fun () -> for _ = 1 to 900 do ignore (Solver.new_var s) done) in
+  Alcotest.(check (float 0.0)) "words for 900 variables within capacity" 0.0 w
+
+let test_resolve_allocates_no_model () =
+  (* every variable fixed at level 0: a solve makes no decisions, so a
+     model array of 20000 entries would dwarf anything else it allocates *)
+  let n = 20_000 in
+  let s = Solver.create () in
+  ignore (Solver.new_vars s n);
+  for v = 0 to n - 1 do
+    Solver.add_clause s [ (if v mod 3 = 0 then nlit v else lit v) ]
+  done;
+  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
+  let w = words_allocated (fun () -> ignore (Solver.solve s)) in
+  if w > 200.0 then Alcotest.failf "a repeated Sat solve allocated %.0f words" w;
+  let m = Solver.model s in
+  Alcotest.(check int) "model length" n (Array.length m);
+  Alcotest.(check bool) "model values" true (m.(0) = false && m.(1) = true)
+
+let test_add_clause_allocates_only_the_list () =
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 10);
+  Solver.add_clause s [ lit 9 ];
+  (* first adds size the watch lists and the clause vector; the pinned
+     adds below reuse their room *)
+  Solver.add_clause s [ lit 0; nlit 1; lit 2 ];
+  Solver.add_clause s [ lit 3; lit 4 ];
+  List.iter
+    (fun (label, c) ->
+      let w = words_allocated (fun () -> Solver.add_clause s c) in
+      Alcotest.(check (float 0.0)) label 0.0 w)
+    [
+      ("ternary", [ lit 2; lit 0; nlit 1 ]);
+      ("binary", [ lit 4; lit 3 ]);
+      ("repeated and level-0 false literals", [ nlit 9; lit 0; lit 2; nlit 1; lit 0; nlit 9 ]);
+    ];
+  Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat)
+
 let prop_incremental_matches_monolithic =
   QCheck.Test.make ~name:"incremental clause addition matches from-scratch" ~count:200
     arb_cnf
@@ -581,6 +640,14 @@ let () =
         [
           Alcotest.test_case "rejects out-of-range vars" `Quick
             test_reference_rejects_out_of_range;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "new_var within capacity" `Quick test_new_var_allocates_nothing;
+          Alcotest.test_case "repeated Sat solve keeps its model buffer" `Quick
+            test_resolve_allocates_no_model;
+          Alcotest.test_case "add_clause allocates only the caller's list" `Quick
+            test_add_clause_allocates_only_the_list;
         ] );
       ( "solver-internals",
         [

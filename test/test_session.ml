@@ -452,6 +452,30 @@ let test_answer_table () =
         fun l j -> Alcotest.(check bool) (l ^ ": reason and stats") true (has "reason" j && has "stats" j) );
     ]
 
+(* A cut answer's text: the label says whether the run was interrupted,
+   the reason where it stood, so an interrupt before any candidate no
+   longer reads "interrupted: interrupted". *)
+let test_cut_answer_text () =
+  let task =
+    match D.analyze (Spec.Parse.prop "len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) = 3 && md(G[0]) = 3") with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let render outcome ~interrupted =
+    Session.answer_text
+      { Session.outcome; cache_hit = false; interrupted; resumed = None; report = None; wall_s = 0.0; exit_code = 0 }
+  in
+  (match D.run ~interrupt:(fun () -> true) task with
+  | Session.Timeout _ as outcome ->
+      Alcotest.(check string) "interrupted" "interrupted: before the first candidate\n"
+        (render outcome ~interrupted:true)
+  | _ -> Alcotest.fail "an interrupt before the first step must answer Timeout");
+  match D.run ~timeout:0.0 task with
+  | Session.Timeout _ as outcome ->
+      Alcotest.(check string) "budget" "timeout: synthesis budget exhausted\n"
+        (render outcome ~interrupted:false)
+  | _ -> Alcotest.fail "a zero budget must answer Timeout"
+
 let iterations_of r =
   match r.Session.outcome with
   | Session.Codes (_, st) | Session.Optimized (_, st) -> st.Synth.Report.Stats.iterations
@@ -561,5 +585,6 @@ let () =
             test_hit_writes_no_journal;
           Alcotest.test_case "one answer object per outcome" `Quick
             test_answer_table;
+          Alcotest.test_case "a cut answer's text" `Quick test_cut_answer_text;
         ] );
     ]
