@@ -1019,50 +1019,36 @@ let add_unit s l =
     s.okay <- false
   end
 
-(* Clause intake sorts in place in [s.intake].  Up to [sort_cutoff]
-   literals an insertion sort does it without allocating; longer
-   clauses go through [Array.stable_sort].  Both are stable, so they put
-   the literals in the same order. *)
+(* Clause intake sorts in place in [s.intake], stably, by decreasing
+   [key s l].  Up to [sort_cutoff] literals an insertion sort does it
+   without allocating; longer clauses go through [Array.stable_sort],
+   which puts them in the same order. *)
 let sort_cutoff = 16
 
-let sort_codes (a : int array) n =
+let sort_intake s key (a : int array) n =
   if n > sort_cutoff then begin
     let t = Array.sub a 0 n in
-    Array.stable_sort Int.compare t;
+    Array.stable_sort (fun x y -> Int.compare (key s y) (key s x)) t;
     Array.blit t 0 a 0 n
   end
   else
     for i = 1 to n - 1 do
       let x = a.(i) in
+      let k = key s x in
       let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
+      while !j >= 0 && key s a.(!j) < k do
         a.(!j + 1) <- a.(!j);
         decr j
       done;
       a.(!j + 1) <- x
     done
+
+(* ascending code order *)
+let code_key _ l = -l
 
 (* [add_long]'s order: non-false literals first, then false ones by
-   decreasing level. *)
+   decreasing level *)
 let watch_key s l = if lit_value s l >= 0 then max_int else s.level.(l lsr 1)
-
-let sort_by_watch_key s (a : int array) n =
-  if n > sort_cutoff then begin
-    let t = Array.sub a 0 n in
-    Array.stable_sort (fun x y -> Int.compare (watch_key s y) (watch_key s x)) t;
-    Array.blit t 0 a 0 n
-  end
-  else
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      let k = watch_key s x in
-      let j = ref (i - 1) in
-      while !j >= 0 && watch_key s a.(!j) < k do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
 
 (* Store the original clause in [s.intake]; returns the tagged reason it
    gives its first literal, whose partner in a binary is [l1]. *)
@@ -1082,7 +1068,7 @@ let store_intake s n l1 =
 let add_long s n =
   let lits = s.intake in
   (* [lits] arrive in ascending code order, which breaks ties *)
-  sort_by_watch_key s lits n;
+  sort_intake s watch_key lits n;
   let l0 = lits.(0) and l1 = lits.(1) in
   if lit_value s l1 >= 0 then ignore (store_intake s n l1)
   else begin
@@ -1134,7 +1120,7 @@ let add_clause s lits =
   if s.okay then begin
     if s.proof_log <> None then s.originals <- lits :: s.originals;
     s.model_valid <- false;
-    sort_codes a len;
+    sort_intake s code_key a len;
     let kept = ref 0 and last = ref (-1) and tautology = ref false and i = ref 0 in
     while (not !tautology) && !i < len do
       let l = a.(!i) in
