@@ -8,7 +8,7 @@ SMOKE_SPEC := len_G = 1 && len_d(G[0]) = 4 && len_c(G[0]) = 3 && md(G[0]) = 3
 
 # Bench regression gate: the current PR's baseline file, the (fast,
 # deterministic) experiment subset it runs, and the tolerated drift.
-BENCH_OUT := BENCH_pr27.json
+BENCH_OUT := BENCH_pr28.json
 BENCH_GATE_EXPERIMENTS := ablation-card ablation-cex multibit sat table1
 BENCH_GATE_THRESHOLD := 25
 # ns_per_prop is wall-clock-derived (unlike the exact iteration/conflict

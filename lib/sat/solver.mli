@@ -73,7 +73,8 @@ val value : t -> Lit.t -> bool
 (** [value_var s v] is the truth value of variable [v] in the last model. *)
 val value_var : t -> int -> bool
 
-(** [model s] is the last model as an array indexed by variable. *)
+(** [model s] is the last model as a fresh array indexed by variable,
+    one entry for each variable allocated when that [solve] ran. *)
 val model : t -> bool array
 
 (** [stats s] is the solver's cumulative statistics. *)
